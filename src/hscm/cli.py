@@ -110,12 +110,7 @@ def cmd_degrees(cfg) -> int:
         raise DomainError(f"graphs have n={graphs[0].n} but --n is {cfg.n}")
     hist = degree_histogram(graphs)
     report = compare_to_theory(hist, p, k_max=cfg.k_max)
-
-    law = DegreeLaw(p)
-    q_asym = law.pmf_array(cfg.k_max)
-    from .stats import finite_n_degree_pmf
-
-    q_fin = finite_n_degree_pmf(p, cfg.k_max)
+    q_asym, q_fin = report.pmf_asymptotic, report.pmf_finite_n
     pe = hist.pmf()
     rows = []
     for k in range(cfg.k_max + 1):

@@ -24,13 +24,10 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import DomainError
-from .graphon import KernelKind, bernoulli_entropy, entropy_of_sum, w_fermi_dirac
+from .graphon import (KernelKind, bernoulli_entropy, entropy_of_sum, expectation_of_sum,
+                      kernel, w_fermi_dirac)
 from .params import EnsembleParams, mu_n_quantile
-from .quadrature import gauss_legendre_nodes, quad_checked
-
-# Latent-measure quantile at which the unbounded tail is truncated; since
-# H <= log 2 the induced absolute error is below log(2) * (2e-12 + 1e-24).
-TAIL_QUANTILE = 1e-12
+from .quadrature import gauss_legendre_nodes
 
 
 @dataclass(frozen=True)
@@ -79,60 +76,10 @@ def membership_entropy(p: EnsembleParams, part: PartitionSpec) -> float:
     return float(-np.sum(xlogy(masses, masses)))
 
 
-def _entropy_double_integral(p: EnsembleParams, h_of_sum, rtol: float,
-                             tail_quantile: float = TAIL_QUANTILE) -> float:
-    """Nested adaptive quadrature of h(x + y) d mu_n(x) d mu_n(y).
-
-    The -inf tail is truncated at the given latent-measure quantile; both
-    kernels' entropy integrands are bounded by log 2, which keeps the
-    truncation error within the stated budget.  Break points are placed on
-    the kernel midline x + y = 0 where the integrand peaks.
-    """
-    gamma, r_n = p.gamma, p.r_n
-    x_lo = mu_n_quantile(p, tail_quantile)
-
-    def inner(x):
-        def f(y):
-            return gamma * math.exp(gamma * (y - r_n)) * h_of_sum(x + y)
-
-        pts = [-x - 4.0, -x, -x + 4.0]
-        return quad_checked(f, x_lo, r_n, rtol=rtol / 3.0, points=pts)
-
-    def outer(x):
-        return gamma * math.exp(gamma * (x - r_n)) * inner(x)
-
-    return quad_checked(outer, x_lo, r_n, rtol=rtol / 3.0,
-                        points=[-r_n, 0.0, r_n - 4.0])
-
-
 def graphon_entropy(p: EnsembleParams, kind: KernelKind = KernelKind.FERMI_DIRAC,
                     rtol: float = 1e-7) -> float:
-    """Graphon entropy sigma by 2D adaptive quadrature."""
-    return _entropy_double_integral(p, entropy_of_sum(kind), rtol)
-
-
-def negative_region_entropy(p: EnsembleParams,
-                            kind: KernelKind = KernelKind.FERMI_DIRAC,
-                            rtol: float = 1e-6) -> float:
-    """Contribution to sigma from the region where x or y is negative."""
-    full = _entropy_double_integral(p, entropy_of_sum(kind), rtol)
-    gamma, r_n = p.gamma, p.r_n
-    if r_n <= 0:
-        return full
-    h = entropy_of_sum(kind)
-
-    def inner(x):
-        def f(y):
-            return gamma * math.exp(gamma * (y - r_n)) * h(x + y)
-
-        pts = [-x - 4.0, -x, -x + 4.0]
-        return quad_checked(f, 0.0, r_n, rtol=rtol / 3.0, points=pts)
-
-    def outer(x):
-        return gamma * math.exp(gamma * (x - r_n)) * inner(x)
-
-    positive_square = quad_checked(outer, 0.0, r_n, rtol=rtol / 3.0, points=[r_n - 4.0])
-    return full - positive_square
+    """Graphon entropy sigma = E[H(K(X + Y))], a 1D Gamma(2, gamma) integral."""
+    return expectation_of_sum(p, entropy_of_sum(kind), rtol)
 
 
 def rescaled_entropy_series(gamma: float, nu: float, sizes, kind=KernelKind.FERMI_DIRAC,
@@ -170,13 +117,6 @@ class AveragedGraphon:
     masses: np.ndarray
     box_values: np.ndarray  # (m_n, m_n), symmetric
 
-    def value(self, x, y) -> float:
-        s = int(np.searchsorted(self.part.rho[1:], x, side="left"))
-        t = int(np.searchsorted(self.part.rho[1:], y, side="left"))
-        if not (0 <= s < self.part.m_n and 0 <= t < self.part.m_n):
-            raise DomainError("coordinate outside the partitioned support")
-        return float(self.box_values[s, t])
-
     def sigma(self) -> float:
         """Graphon entropy of the averaged kernel (exact given the box values)."""
         h = bernoulli_entropy(self.box_values)
@@ -188,8 +128,6 @@ class AveragedGraphon:
         The kernel decreases in x + y, so on box (s, t) the extremes sit at
         the corners rho[s+1] + rho[t+1] (min) and rho[s] + rho[t] (max).
         """
-        from .graphon import kernel
-
         k = kernel(self.kind)
         right = self.part.rho[1:]
         left = self.part.rho[:-1]
@@ -221,9 +159,7 @@ def averaged_graphon(p: EnsembleParams, part: PartitionSpec,
         nodes[t] = xn
         weights[t] = xw * gamma * np.exp(gamma * (xn - r_n))
 
-    from .graphon import kernel as kernel_fn
-
-    k = kernel_fn(kind)
+    k = kernel(kind)
     flat_nodes = nodes.ravel()
     flat_weights = weights.ravel()
     box = np.empty((m, m))

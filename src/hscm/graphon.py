@@ -17,7 +17,7 @@ import enum
 import math
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import hyp2f1, xlogy
 
 from .errors import DomainError
 from .params import EnsembleParams
@@ -134,49 +134,43 @@ def omega_n(p: EnsembleParams) -> float:
     return -math.expm1(-(p.gamma - 1.0) * p.r_n) / (p.beta * math.exp(p.r_n))
 
 
-def expected_degree_fn(p: EnsembleParams, x: float, kind: KernelKind, rtol=1e-9) -> float:
-    """Expected degree of a node at exponential coordinate x.
+def expected_degree_fn(p: EnsembleParams, x, kind: KernelKind):
+    """Expected degree of a node at exponential coordinate x (scalar or array).
 
-    Fermi-Dirac: kappa_n(x) = (n - 1) * integral of W(x, y) d mu_n(y), by
-    adaptive quadrature on the unit-interval substitution u = exp(gamma*(y - r_n))
-    (which maps the unbounded tail to (0, 1]), split at the y = 0 image.
+    Fermi-Dirac: kappa_n(x) = (n - 1) * integral of W(x, y) d mu_n(y).  The
+    substitution z = exp(gamma*(y - r_n)) turns the integral into Euler's
+    integral of a hypergeometric function, so
+
+        kappa_n(x) = (n - 1) * 2F1(1, gamma; gamma + 1; -exp(x + r_n)),
+
+    one vectorised scipy.special.hyp2f1 call.
 
     Classical limit: the closed form n * omega_n * exp(-x) for 0 <= x <= r_n
     and 0 for x < 0 (the approximation is defined to vanish there).
     """
-    if x - p.r_n > 1e-12 * max(1.0, abs(p.r_n)):
-        raise DomainError(f"coordinate {x} above the support end {p.r_n}")
+    x = np.asarray(x, dtype=float)
+    if np.any(x - p.r_n > 1e-12 * max(1.0, abs(p.r_n))):
+        raise DomainError(f"coordinate {np.max(x)} above the support end {p.r_n}")
     if kind is KernelKind.CLASSICAL_LIMIT:
-        if x < 0.0:
-            return 0.0
-        return p.n * omega_n(p) * math.exp(-x)
-
-    gamma, r_n = p.gamma, p.r_n
-
-    def integrand(u):
-        y = r_n + math.log(u) / gamma
-        return w_fermi_dirac(x, y)
-
-    # Break points: image of y = 0 and of the kernel midpoint y = -x.
-    pts = [math.exp(-gamma * r_n), math.exp(-gamma * (x + r_n))]
-    val = quad_checked(integrand, 0.0, 1.0, rtol=rtol, points=pts)
-    return (p.n - 1) * val
+        # omega_n needs r_n > 0, which holds whenever some x >= 0 is valid
+        front = p.n * omega_n(p) if np.any(x >= 0.0) else 0.0
+        out = np.where(x < 0.0, 0.0, front * np.exp(-np.maximum(x, 0.0)))
+    else:
+        out = (p.n - 1) * hyp2f1(1.0, p.gamma, p.gamma + 1.0, -np.exp(x + p.r_n))
+    return out if out.ndim else float(out)
 
 
-def mean_kernel_value(p: EnsembleParams, kind: KernelKind = KernelKind.FERMI_DIRAC,
-                      rtol=1e-11) -> float:
-    """E[K(X, Y)] with X, Y independent draws from the latent measure.
+def expectation_of_sum(p: EnsembleParams, f_of_sum, rtol=1e-11) -> float:
+    """E[f(X + Y)] with X, Y independent draws from the latent measure.
 
-    Both kernels depend on x + y only, and r_n - X is Exp(gamma), so the double
-    integral reduces exactly to a 1D integral against the Gamma(2, gamma)
-    density of t = 2 r_n - (x + y).
+    r_n - X is Exp(gamma), so t = 2 r_n - (X + Y) has the Gamma(2, gamma)
+    density gamma^2 t exp(-gamma t) and the double integral is exactly the 1D
+    integral of f(2 r_n - t) against it.  f is a scalar function of s = x + y.
     """
-    k_of_sum = (lambda s: w_fermi_dirac(s, 0.0)) if kind is KernelKind.FERMI_DIRAC \
-        else (lambda s: w_classical(s, 0.0))
     gamma, r2 = p.gamma, 2.0 * p.r_n
 
     def integrand(t):
-        return k_of_sum(r2 - t) * gamma * gamma * t * math.exp(-gamma * t)
+        return f_of_sum(r2 - t) * gamma * gamma * t * math.exp(-gamma * t)
 
     # Kernel transition sits at s = 0, i.e. t = 2 r_n; integrate the two
     # ranges separately since `points` is unavailable on infinite intervals.
@@ -187,3 +181,10 @@ def mean_kernel_value(p: EnsembleParams, kind: KernelKind = KernelKind.FERMI_DIR
         head = 0.0
         tail = quad_checked(integrand, 0.0, np.inf, rtol=rtol)
     return head + tail
+
+
+def mean_kernel_value(p: EnsembleParams, kind: KernelKind = KernelKind.FERMI_DIRAC,
+                      rtol=1e-11) -> float:
+    """E[K(X, Y)] with X, Y independent draws from the latent measure."""
+    k = kernel(kind)
+    return expectation_of_sum(p, lambda s: k(s, 0.0), rtol)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from scipy import integrate
 
@@ -11,9 +13,10 @@ from .errors import QuadratureError
 def quad_checked(f, a, b, rtol=1e-10, atol=0.0, points=None, limit=200):
     """scipy.integrate.quad that raises QuadratureError instead of warning.
 
-    The error estimate must satisfy abserr <= max(atol, rtol * |value|).
-    `points` are interior break points (ignored when the interval is infinite,
-    as required by scipy).
+    The error estimate must satisfy abserr <= max(atol, rtol * |value|); that
+    check alone decides the outcome, so scipy's IntegrationWarning is
+    suppressed.  `points` are interior break points (ignored when the interval
+    is infinite, as required by scipy).
     """
     infinite = np.isinf(a) or np.isinf(b)
     kwargs = {"epsabs": atol if atol > 0 else 1e-300, "epsrel": rtol, "limit": limit}
@@ -21,13 +24,15 @@ def quad_checked(f, a, b, rtol=1e-10, atol=0.0, points=None, limit=200):
         pts = [float(t) for t in points if min(a, b) < t < max(a, b)]
         if pts:
             kwargs["points"] = sorted(pts)
-    value, abserr = integrate.quad(f, a, b, full_output=0, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        value, abserr = integrate.quad(f, a, b, full_output=0, **kwargs)
     if not np.isfinite(value):
-        raise QuadratureError(f"quadrature returned non-finite value {value}")
+        raise QuadratureError(f"quadrature on [{a}, {b}] returned non-finite value {value}")
     if abserr > max(atol, rtol * abs(value), 1e-300):
         raise QuadratureError(
-            f"quadrature error estimate {abserr:.3e} exceeds tolerance "
-            f"for value {value:.6e}"
+            f"quadrature on [{a}, {b}]: error estimate {abserr:.3e} exceeds "
+            f"tolerance rtol={rtol:g} for value {value:.6e}"
         )
     return value
 

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, zeta
+from scipy.special import gammaln, xlogy, zeta
 
 from .errors import DomainError, EdgeListParseError, InsufficientTailError
 from .graphon import KernelKind, expected_degree_fn
@@ -87,15 +87,15 @@ def finite_n_degree_pmf(p: EnsembleParams, k_max: int, nodes: int = 512) -> np.n
 
     The latent quantile u is substituted as u = z**gamma so that the mixing
     parameter is nearly proportional to 1/z, then integrated with
-    Gauss-Legendre nodes; kappa_n at each node is the adaptive expected-degree
-    quadrature.  Returns pmf(0..k_max); the deficit to 1 is the tail mass.
+    Gauss-Legendre nodes; kappa_n at the nodes is the closed-form expected
+    degree.  Returns pmf(0..k_max); the deficit to 1 is the tail mass.
     """
     z, wz = gauss_legendre_nodes(0.0, 1.0, nodes)
     w = wz * p.gamma * z ** (p.gamma - 1.0)
-    x = mu_n_quantile(p, z ** p.gamma)
-    kappa = np.array([expected_degree_fn(p, xi, KernelKind.FERMI_DIRAC) for xi in x])
+    kappa = expected_degree_fn(p, mu_n_quantile(p, z ** p.gamma), KernelKind.FERMI_DIRAC)
     ks = np.arange(k_max + 1, dtype=float)
-    log_pois = ks[:, None] * np.log(kappa[None, :]) - kappa[None, :] \
+    # xlogy keeps k * log(kappa) at 0 for k = 0 when kappa = 0 (n = 1)
+    log_pois = xlogy(ks[:, None], kappa[None, :]) - kappa[None, :] \
         - gammaln(ks + 1.0)[:, None]
     return np.exp(log_pois) @ w
 
@@ -112,6 +112,8 @@ class ComparisonReport:
     avg_degree_finite_n: float
     avg_degree_asymptotic: float
     tail_exponent_estimate: float | None
+    pmf_asymptotic: np.ndarray  # theory pmf(0..k_max); the deficit is tail mass
+    pmf_finite_n: np.ndarray
 
 
 def compare_to_theory(h: DegreeHistogram, p: EnsembleParams, k_max: int = 100) -> ComparisonReport:
@@ -133,6 +135,8 @@ def compare_to_theory(h: DegreeHistogram, p: EnsembleParams, k_max: int = 100) -
         avg_degree_finite_n=expected_avg_degree_finite_n(p),
         avg_degree_asymptotic=p.nu,
         tail_exponent_estimate=alpha,
+        pmf_asymptotic=q_asym,
+        pmf_finite_n=q_fin,
     )
 
 

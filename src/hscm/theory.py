@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from .errors import DomainError, NumericalInstabilityError
-from .graphon import w_fermi_dirac
+from .graphon import mean_kernel_value
 from .params import EnsembleParams
 from .quadrature import quad_checked
 
@@ -197,30 +197,13 @@ def mixed_poisson_pmf_oracle(law: ParetoLaw, k: int, rtol=1e-12) -> float:
     return head + tail
 
 
-def expected_avg_degree_finite_n(p: EnsembleParams, rtol=1e-8) -> float:
-    """(n - 1) * E[W(X, Y)] by nested 2D adaptive quadrature.
+def expected_avg_degree_finite_n(p: EnsembleParams) -> float:
+    """(n - 1) * E[W(X, Y)], the finite-n expected average degree.
 
-    The double integral of the Fermi-Dirac kernel against the latent measure
-    is evaluated in the exponential coordinates, with the unbounded tail
-    truncated at a latent-measure quantile small enough that the discarded
-    mass (where W <= 1) stays below the error budget; E[W] itself is of order
-    nu / n.  Inner break points sit on the kernel midline y = -x.
+    E[W] is the exact 1D Gamma(2, gamma) integral of
+    :func:`hscm.graphon.mean_kernel_value`.
     """
-    gamma, r_n = p.gamma, p.r_n
-    q_cut = min(1e-13, 0.01 * rtol * p.nu / p.n)
-    x_lo = r_n + math.log(q_cut) / gamma
-
-    def inner(x):
-        def f(y):
-            return gamma * math.exp(gamma * (y - r_n)) * w_fermi_dirac(x, y)
-
-        return quad_checked(f, x_lo, r_n, rtol=rtol / 3.0, points=[-x])
-
-    def outer(x):
-        return gamma * math.exp(gamma * (x - r_n)) * inner(x)
-
-    val = quad_checked(outer, x_lo, r_n, rtol=rtol / 3.0, points=[-r_n, 0.0])
-    return (p.n - 1) * val
+    return (p.n - 1) * mean_kernel_value(p)
 
 
 def expected_avg_degree_classical(p: EnsembleParams) -> float:

@@ -1,66 +1,121 @@
 """Independent brute-force oracles used only by the tests.
 
-These deliberately take different routes than the library:
+These deliberately take different routes than the library, which reduces
+every integral of a function of x + y against the latent product measure to
+a 1D Gamma(2, gamma) integral and evaluates kappa_n by scipy's hyp2f1:
 
-* the entropy / mean-kernel oracles reduce the double integral against the
-  latent product measure to a 1D integral using the fact that r_n - X is
-  exactly Exp(gamma), so 2 r_n - X - Y has a Gamma(2, gamma) density;
+* the entropy / mean-degree oracles run the full nested 2D quadrature over
+  the latent square, truncated at a small latent-measure quantile;
+* the mpmath oracles evaluate the same quantities at 40 significant digits,
+  for sizes where double-precision nested quadrature drifts;
 * the box-average oracle integrates one partition box with scipy dblquad.
 """
 
 import math
 
-import numpy as np
+import mpmath as mp
 from scipy import integrate
 
 
-def gamma2_expectation(p, f_of_sum, rtol=1e-11):
-    """E[f(X + Y)] with X, Y iid from the latent measure, via the Gamma(2) trick."""
-    gamma, r2 = p.gamma, 2.0 * p.r_n
-
-    def integrand(t):
-        return f_of_sum(r2 - t) * gamma * gamma * t * math.exp(-gamma * t)
-
-    pieces = []
-    if r2 > 0:
-        pieces.append(integrate.quad(integrand, 0.0, r2, epsabs=1e-300, epsrel=rtol,
-                                     points=[0.5 * r2], limit=300)[0])
-        pieces.append(integrate.quad(integrand, r2, np.inf, epsabs=1e-300,
-                                     epsrel=rtol, limit=300)[0])
-    else:
-        pieces.append(integrate.quad(integrand, 0.0, np.inf, epsabs=1e-300,
-                                     epsrel=rtol, limit=300)[0])
-    return sum(pieces)
+def _h_fermi_dirac(s):
+    a = abs(s)
+    t = math.exp(-a)
+    return math.log1p(t) + a * t / (1.0 + t)
 
 
-def sigma_oracle(p, kind="fermi_dirac"):
-    """Graphon entropy via the 1D reduction, with tail-stable Bernoulli entropy."""
-
-    def h_fd(s):
-        a = abs(s)
-        t = math.exp(-a)
-        return math.log1p(t) + a * t / (1.0 + t)
-
-    def h_cl(s):
-        if s <= 0.0:
-            return 0.0
-        w = math.exp(-s)
-        om = -math.expm1(-s)
-        return s * w - om * math.log(om)
-
-    return gamma2_expectation(p, h_fd if kind == "fermi_dirac" else h_cl)
+def _h_classical(s):
+    if s <= 0.0:
+        return 0.0
+    w = math.exp(-s)
+    om = -math.expm1(-s)
+    return s * w - om * math.log(om)
 
 
-def mean_degree_oracle(p):
-    """(n - 1) E[W(X, Y)] via the 1D reduction."""
+def _w_fermi_dirac(s):
+    if s >= 0:
+        t = math.exp(-s)
+        return t / (1.0 + t)
+    return 1.0 / (1.0 + math.exp(s))
 
-    def w(s):
-        if s >= 0:
-            t = math.exp(-s)
-            return t / (1.0 + t)
-        return 1.0 / (1.0 + math.exp(s))
 
-    return (p.n - 1) * gamma2_expectation(p, w)
+def _quad(f, a, b, rtol, points):
+    pts = sorted(t for t in points if a < t < b)
+    return integrate.quad(f, a, b, epsabs=1e-300, epsrel=rtol, limit=200,
+                          points=pts or None)[0]
+
+
+def quantile(p, q):
+    """Latent-measure q-quantile r_n + log(q) / gamma."""
+    return p.r_n + math.log(q) / p.gamma
+
+
+def nested_expectation(p, f_of_sum, rtol, lo):
+    """E[f(X + Y)] over the square [lo, r_n]^2, by nested adaptive quadrature.
+
+    Break points sit on the kernel midline x + y = 0 where the integrands
+    turn.  With lo a small latent-measure quantile this is the truncated full
+    expectation; the caller picks the cut small enough for f's bound.
+    """
+    gamma, r_n = p.gamma, p.r_n
+
+    def dens(x):
+        return gamma * math.exp(gamma * (x - r_n))
+
+    def inner(x):
+        return _quad(lambda y: dens(y) * f_of_sum(x + y), lo, r_n, rtol / 3.0,
+                     [-x - 4.0, -x, -x + 4.0])
+
+    return _quad(lambda x: dens(x) * inner(x), lo, r_n, rtol / 3.0,
+                 [-r_n, 0.0, r_n - 4.0])
+
+
+def sigma_oracle(p, kind="fermi_dirac", rtol=1e-9):
+    """Graphon entropy by nested 2D quadrature (H <= log 2 bounds the cut)."""
+    h = _h_fermi_dirac if kind == "fermi_dirac" else _h_classical
+    return nested_expectation(p, h, rtol, quantile(p, 1e-12))
+
+
+def negative_region_entropy(p, rtol=1e-6):
+    """Contribution to sigma from the region where x or y is negative."""
+    full = sigma_oracle(p, rtol=rtol)
+    if p.r_n <= 0:
+        return full
+    return full - nested_expectation(p, _h_fermi_dirac, rtol, 0.0)
+
+
+def mean_degree_oracle(p, rtol=1e-9):
+    """(n - 1) E[W(X, Y)] by nested 2D quadrature.
+
+    W <= 1 on the discarded strips, so the cut quantile sits well below the
+    error budget relative to E[W] ~ nu / n.
+    """
+    cut = min(1e-13, 0.01 * rtol * p.nu / p.n)
+    return (p.n - 1) * nested_expectation(p, _w_fermi_dirac, rtol, quantile(p, cut))
+
+
+def sigma_mpmath(p, dps=40):
+    """Graphon entropy at `dps` digits: mpmath quadrature of the Gamma(2) form."""
+    with mp.workdps(dps):
+        gamma, r2 = mp.mpf(p.gamma), 2 * mp.mpf(p.r_n)
+
+        def h(s):
+            a = abs(s)
+            t = mp.exp(-a)
+            return mp.log1p(t) + a * t / (1 + t)
+
+        def f(t):
+            return h(r2 - t) * gamma**2 * t * mp.exp(-gamma * t)
+
+        cuts = [c for c in (r2 / 2, r2 - 8, r2 - 2, r2, r2 + 2, r2 + 8) if c > 0]
+        return mp.quad(f, [0] + sorted(cuts) + [mp.inf])
+
+
+def kappa_mpmath(p, x, dps=40):
+    """kappa_n(x) = (n - 1) * 2F1(1, gamma; gamma + 1; -exp(x + r_n)) at `dps` digits."""
+    with mp.workdps(dps):
+        gamma = mp.mpf(p.gamma)
+        z = -mp.exp(mp.mpf(float(x)) + mp.mpf(p.r_n))
+        return (p.n - 1) * mp.hyp2f1(1, gamma, gamma + 1, z)
 
 
 def box_average_oracle(p, a, b, c, d, kernel):

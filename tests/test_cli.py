@@ -13,6 +13,15 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def strict_json(path):
+    """Parse a JSON file, rejecting the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token} in {path}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
 class TestGenerate:
     def test_writes_replicas_and_meta(self, tmp_path):
         out = tmp_path / "g"
@@ -91,6 +100,46 @@ class TestDegrees:
         with open(tdir / "theory_pmf.csv") as fh:
             tcol = [float(r[1]) for r in list(csv.reader(fh))[1:]]
         assert np.allclose(dcol, tcol, rtol=1e-9)
+
+    def test_kappa_quadrature_failure_params_exit_0(self, tmp_path):
+        # adaptive quadrature of kappa_n misses its tolerance at these parameters
+        out = tmp_path / "d"
+        assert run_cli("degrees", "--gamma", 3.5, "--nu", 2, "--n", 10000,
+                       "--replicas", 1, "--seed", 1, "--k-max", 40, "--out", out) == 0
+        summary = strict_json(out / "summary.json")
+        assert summary["avg_degree_finite_n"] == pytest.approx(2.0, rel=1e-3)
+
+    def test_single_node_outputs_are_finite(self, tmp_path):
+        # kappa_n = 0 at n = 1, so the finite-n pmf is the point mass at k = 0
+        out = tmp_path / "d"
+        assert run_cli("degrees", "--gamma", 2, "--nu", 10, "--n", 1, "--seed", 1,
+                       "--k-max", 5, "--out", out) == 0
+        summary = strict_json(out / "summary.json")
+        assert summary["tv_finite_n"] == 0.0
+        with open(out / "degrees.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [float(r[3]) for r in rows] == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+    def test_each_theory_pmf_computed_once(self, tmp_path, monkeypatch):
+        import hscm.stats as stats_mod
+        from hscm.theory import DegreeLaw
+
+        calls = {"finite_n": 0, "asymptotic": 0}
+        finite_n, pmf_array = stats_mod.finite_n_degree_pmf, DegreeLaw.pmf_array
+
+        def count_finite_n(*args, **kwargs):
+            calls["finite_n"] += 1
+            return finite_n(*args, **kwargs)
+
+        def count_asymptotic(*args, **kwargs):
+            calls["asymptotic"] += 1
+            return pmf_array(*args, **kwargs)
+
+        monkeypatch.setattr(stats_mod, "finite_n_degree_pmf", count_finite_n)
+        monkeypatch.setattr(DegreeLaw, "pmf_array", count_asymptotic)
+        assert run_cli("degrees", "--gamma", 2, "--nu", 10, "--n", 500, "--seed", 3,
+                       "--k-max", 20, "--out", tmp_path / "d") == 0
+        assert calls == {"finite_n": 1, "asymptotic": 1}
 
 
 class TestEntropyCmd:

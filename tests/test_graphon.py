@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from oracles import kappa_mpmath
 from hscm import rng
 from hscm.errors import DomainError
 from hscm.graphon import (
@@ -178,6 +179,28 @@ class TestExpectedDegree:
     def test_domain_error_above_support(self):
         with pytest.raises(DomainError):
             expected_degree_fn(self.p, self.p.r_n + 1.0, KernelKind.FERMI_DIRAC)
+        with pytest.raises(DomainError):
+            expected_degree_fn(self.p, [0.0, self.p.r_n + 1.0], KernelKind.FERMI_DIRAC)
+
+    # adaptive quadrature of kappa_n misses its tolerance at these parameters
+    @pytest.mark.parametrize("gamma,nu,n", [(3.5, 2.0, 10**4), (3.5, 2.0, 10**6),
+                                            (2.5, 5.0, 10**7)])
+    def test_closed_form_matches_mpmath(self, gamma, nu, n):
+        p = derive_params(gamma, nu, n)
+        u = np.concatenate([np.geomspace(1e-12, 1.0, 13), (np.arange(32) + 0.5) / 32])
+        x = mu_n_quantile(p, u)
+        got = expected_degree_fn(p, x, KernelKind.FERMI_DIRAC)
+        for xi, gi in zip(x, got):
+            ref = kappa_mpmath(p, xi)
+            assert abs(gi - ref) <= 1e-12 * abs(ref)
+
+    def test_vectorised_matches_scalar(self):
+        p = self.p
+        x = np.array([-30.0, -2.0, 0.0, 1.5, p.r_n])
+        for kind in KernelKind:
+            vec = expected_degree_fn(p, x, kind)
+            assert vec.shape == x.shape
+            assert list(vec) == [expected_degree_fn(p, xi, kind) for xi in x]
 
 
 class TestClassicalApproximationRate:

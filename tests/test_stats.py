@@ -78,6 +78,22 @@ class TestFiniteNPmf:
         # truncated mean undershoots the full expectation by the hub tail
         assert abs(mean - expected_avg_degree_finite_n(p)) < 0.25
 
+    @pytest.mark.parametrize("gamma,nu,n", [(3.5, 2.0, 10**4), (3.5, 2.0, 10**6),
+                                            (2.5, 5.0, 10**7)])
+    def test_finite_where_kappa_quadrature_fails(self, gamma, nu, n):
+        # adaptive quadrature of kappa_n misses its tolerance at these parameters
+        p = derive_params(gamma, nu, n)
+        q = finite_n_degree_pmf(p, 100)
+        assert np.all(np.isfinite(q)) and np.all(q >= 0.0)
+        assert 0.99 < q.sum() <= 1.0 + 1e-9
+        law = DegreeLaw(p)
+        counts = np.round(1e5 * law.pmf_array(100)).astype(np.int64)
+        h = DegreeHistogram(counts=counts, n=int(counts.sum()), n_graphs=1)
+        rep = compare_to_theory(h, p)
+        for value in (rep.tv_asymptotic, rep.tv_finite_n, rep.avg_degree_finite_n):
+            assert math.isfinite(value)
+        assert np.array_equal(rep.pmf_finite_n, q)
+
     def test_finite_n_reference_fits_better_when_far_from_limit(self, hist_g11_e4):
         p = derive_params(1.1, 4.92, 10**4)
         rep = compare_to_theory(hist_g11_e4, p)
