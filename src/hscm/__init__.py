@@ -67,7 +67,6 @@ from .stats import (
 from .theory import (
     DegreeLaw,
     ParetoLaw,
-    expected_avg_degree_classical,
     expected_avg_degree_finite_n,
     finite_size_degree_tail,
     mixed_poisson_pmf_oracle,

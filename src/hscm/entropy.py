@@ -98,15 +98,6 @@ def rescaled_entropy_series(gamma: float, nu: float, sizes, kind=KernelKind.FERM
     return out
 
 
-def deviation_log_slope(series, nu: float) -> float:
-    """Least-squares slope of log |n sigma/log n - nu| against log log n."""
-    ns = np.array([n for n, _ in series], dtype=float)
-    dev = np.abs(np.array([v for _, v in series]) - nu)
-    if np.any(dev == 0.0):
-        raise DomainError("zero deviation; slope undefined")
-    return float(np.polyfit(np.log(np.log(ns)), np.log(dev), 1)[0])
-
-
 @dataclass(frozen=True)
 class AveragedGraphon:
     """Piecewise-constant kernel: the box averages of a kernel over a partition."""
@@ -121,19 +112,6 @@ class AveragedGraphon:
         """Graphon entropy of the averaged kernel (exact given the box values)."""
         h = bernoulli_entropy(self.box_values)
         return float(self.masses @ h @ self.masses)
-
-    def bracket_bounds(self):
-        """(min, max) of the underlying kernel on every box, for bracket checks.
-
-        The kernel decreases in x + y, so on box (s, t) the extremes sit at
-        the corners rho[s+1] + rho[t+1] (min) and rho[s] + rho[t] (max).
-        """
-        k = kernel(self.kind)
-        right = self.part.rho[1:]
-        left = self.part.rho[:-1]
-        kmin = k(right[:, None], right[None, :])
-        kmax = k(left[:, None] + 0.0, left[None, :] + 0.0)
-        return kmin, kmax
 
 
 def averaged_graphon(p: EnsembleParams, part: PartitionSpec,

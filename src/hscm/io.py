@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
 import os
+import re
 import tempfile
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -15,14 +17,26 @@ from .sampler import Graph
 
 SCHEMA_VERSION = 1
 EDGE_FORMAT_TAG = "hscm v1"
+MAX_NODE_ID = 2**31 - 1  # Graph stores int32 endpoints
+_HEADER = re.compile(r"#\s*" + re.escape(EDGE_FORMAT_TAG) + r"\b.*?\bn=(\d+)")
+_WRITE_CHUNK = 1 << 16  # edges formatted per write
+# loadtxt numbers data rows (comment and blank lines skipped) from 0 in
+# conversion errors and from 1 in missing-column errors.
+_LOADTXT_ROW = (
+    (re.compile(r"could not convert string (?P<token>'.*') to int64 at row (?P<row>\d+)"),
+     0, "bad node id {token}"),
+    (re.compile(r"invalid column index \d+ at row (?P<row>\d+)"), 1, "expected two node ids"),
+)
 
 
-def atomic_write_text(path, text: str):
+@contextmanager
+def _atomic_open(path):
+    """Text file handle on a temp file that replaces `path` only on success."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -32,50 +46,75 @@ def atomic_write_text(path, text: str):
 
 def write_edge_list(path, graph: Graph, seed: int):
     """Self-describing text edge list: '# hscm v1 n=<n> seed=<seed>' then 'u v' rows."""
-    buf = _io.StringIO()
-    buf.write(f"# {EDGE_FORMAT_TAG} n={graph.n} seed={seed}\n")
-    np.savetxt(buf, graph.edges, fmt="%d %d")
-    atomic_write_text(path, buf.getvalue())
+    with _atomic_open(path) as fh:
+        fh.write(f"# {EDGE_FORMAT_TAG} n={graph.n} seed={seed}\n")
+        for start in range(0, graph.num_edges, _WRITE_CHUNK):
+            chunk = graph.edges[start:start + _WRITE_CHUNK]
+            fh.write(("%d %d\n" * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+
+
+def _file_line(path, row: int) -> int:
+    """1-based line of the row-th (0-based) data line, counted as loadtxt counts."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.split("#", 1)[0].strip():
+                if row == 0:
+                    return lineno
+                row -= 1
+    return 0
+
+
+def _reject_ids(path, ids, bad, reason):
+    """Raise EdgeListParseError at the first id flagged in `bad`, if any."""
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise EdgeListParseError(path, _file_line(path, row), f"node id {ids[row, col]} {reason}")
+
+
+def parse_edge_list(path):
+    """The (m, 2) int64 node ids of an edge-list file, and n from its header.
+
+    Text after '#' and blank lines are skipped, the first two whitespace-
+    separated columns are node ids in [0, 2**31) and further columns are
+    ignored.  n comes from a first line '# hscm v1 n=<n> ...' and is None
+    without one.  Bad input raises EdgeListParseError naming the file line.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            ids = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2,
+                             usecols=(0, 1), encoding="utf-8")
+    except ValueError as exc:
+        for pattern, base, message in _LOADTXT_ROW:
+            match = pattern.match(str(exc))
+            if match:
+                raise EdgeListParseError(path, _file_line(path, int(match["row"]) - base),
+                                         message.format(**match.groupdict())) from None
+        raise EdgeListParseError(path, 0, str(exc)) from None
+    _reject_ids(path, ids, (ids < 0) | (ids > MAX_NODE_ID), "outside [0, 2**31)")
+    with open(path, "r", encoding="utf-8") as fh:
+        header = _HEADER.match(fh.readline().strip())
+    return ids, (int(header.group(1)) if header else None)
 
 
 def read_edge_list(path) -> Graph:
     """Read an edge list written by write_edge_list (header required for n)."""
-    n = None
-    edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                if EDGE_FORMAT_TAG in text:
-                    for token in text.split():
-                        if token.startswith("n="):
-                            n = int(token[2:])
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise EdgeListParseError(path, lineno, "expected 'u v'")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise EdgeListParseError(path, lineno, "non-integer node id") from None
+    ids, n = parse_edge_list(path)
     if n is None:
         raise EdgeListParseError(path, 0, f"missing '# {EDGE_FORMAT_TAG}' header")
-    arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    return Graph(n=n, edges=arr).validate()
+    _reject_ids(path, ids, ids >= n, f"out of range for n={n}")
+    return Graph(n=n, edges=ids).validate()
 
 
 def write_json(path, payload: dict):
     doc = dict(payload)
     doc.setdefault("schema_version", SCHEMA_VERSION)
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path, header, rows):
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    atomic_write_text(path, buf.getvalue())
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 from scipy import integrate
+from scipy.special import roots_legendre
 
 from .errors import QuadratureError
 
@@ -39,6 +40,6 @@ def quad_checked(f, a, b, rtol=1e-10, atol=0.0, points=None, limit=200):
 
 def gauss_legendre_nodes(a, b, order):
     """Nodes and weights of Gauss-Legendre quadrature mapped to [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = roots_legendre(order)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w

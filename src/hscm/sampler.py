@@ -68,12 +68,8 @@ class Graph:
             raise DomainError("edge endpoint out of range")
         if np.any(e[:, 0] >= e[:, 1]):
             raise DomainError("edges must satisfy i < j")
-        if e.shape[0] > 1:
-            order = np.lexsort((e[:, 1], e[:, 0]))
-            if not np.array_equal(order, np.arange(e.shape[0])):
-                raise DomainError("edges must be sorted lexicographically")
-            if np.any((np.diff(e[:, 0]) == 0) & (np.diff(e[:, 1]) == 0)):
-                raise DomainError("duplicate edges")
+        if np.any(np.diff(edge_keys(self.n, e[:, 0], e[:, 1])) <= 0):
+            raise DomainError("edges must be sorted lexicographically, without duplicates")
         return self
 
 
@@ -109,18 +105,30 @@ def sample_coordinates(p: EnsembleParams, seed: int,
                             seed=int(seed))
 
 
+def edge_keys(n: int, a, b) -> np.ndarray:
+    """Canonical int64 key min*n + max of each undirected edge {a, b}.
+
+    Keys sort in the (i, j) lexicographic order of the edges with i < j, and
+    equal keys are duplicate edges.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    return np.minimum(a, b) * np.int64(n) + np.maximum(a, b)
+
+
+def edges_from_keys(n: int, keys: np.ndarray) -> np.ndarray:
+    """The (m, 2) int32 edge array of canonical keys, in key order."""
+    edges = np.empty((keys.size, 2), dtype=np.int32)
+    edges[:, 0] = keys // n
+    edges[:, 1] = keys % n
+    return edges
+
+
 def _finish_edges(n: int, rows: list, cols: list) -> Graph:
-    if rows:
-        a = np.concatenate(rows)
-        b = np.concatenate(cols)
-    else:
-        a = np.empty(0, dtype=np.int64)
-        b = np.empty(0, dtype=np.int64)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    order = np.lexsort((hi, lo))
-    edges = np.column_stack((lo[order], hi[order])).astype(np.int32)
-    return Graph(n=n, edges=edges)
+    if not rows:
+        return Graph(n=n, edges=np.empty((0, 2), dtype=np.int32))
+    keys = np.sort(edge_keys(n, np.concatenate(rows), np.concatenate(cols)))
+    return Graph(n=n, edges=edges_from_keys(n, keys))
 
 
 def sample_graph_naive(c: CoordinateSample, seed: int, allow_large: bool = False) -> Graph:

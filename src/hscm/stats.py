@@ -12,7 +12,8 @@ from .errors import DomainError, EdgeListParseError, InsufficientTailError
 from .graphon import KernelKind, expected_degree_fn
 from .params import EnsembleParams, mu_n_quantile
 from .quadrature import gauss_legendre_nodes
-from .sampler import Graph
+from .io import parse_edge_list
+from .sampler import Graph, edge_keys, edges_from_keys
 from .theory import DegreeLaw, expected_avg_degree_finite_n
 
 
@@ -239,50 +240,22 @@ def tail_exponent(h: DegreeHistogram, k_min: int | None = None) -> float:
 
 
 def ingest_edge_list(path) -> DegreeHistogram:
-    """Histogram of an external whitespace-separated edge list.
+    """Histogram of an external edge list, parsed by :func:`hscm.io.parse_edge_list`.
 
-    Lines starting with '#' and blank lines are skipped; 0- versus 1-indexing
-    is auto-detected (1-indexed when no zero id appears).  Self-loops and
-    duplicate edges are dropped and counted.
+    0- versus 1-indexing is auto-detected (1-indexed when no zero id
+    appears).  Self-loops and duplicate edges are dropped and counted.
     """
-    us, vs = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) < 2:
-                raise EdgeListParseError(path, lineno, "expected two node ids")
-            try:
-                u = int(parts[0])
-                v = int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(path, lineno,
-                                         f"non-integer node id in {parts[:2]}") from None
-            if u < 0 or v < 0:
-                raise EdgeListParseError(path, lineno, "negative node id")
-            us.append(u)
-            vs.append(v)
-    if not us:
+    ids, _ = parse_edge_list(path)
+    if not ids.size:
         raise EdgeListParseError(path, 0, "no edges found")
-    u = np.array(us, dtype=np.int64)
-    v = np.array(vs, dtype=np.int64)
-    if min(u.min(), v.min()) >= 1:  # 1-indexed input
-        u -= 1
-        v -= 1
-    n = int(max(u.max(), v.max())) + 1
-    loops = int((u == v).sum())
-    keep = u != v
-    lo = np.minimum(u[keep], v[keep])
-    hi = np.maximum(u[keep], v[keep])
-    pair_ids = lo * np.int64(n) + hi
-    unique_ids, first = np.unique(pair_ids, return_index=True)
-    dups = int(pair_ids.size - unique_ids.size)
-    edges = np.column_stack((lo[first], hi[first]))
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    g = Graph(n=n, edges=edges[order])
-    hist = degree_histogram([g])
-    hist.duplicates_dropped = dups
-    hist.self_loops_dropped = loops
+    if ids.min() >= 1:  # 1-indexed input
+        ids -= 1
+    n = int(ids.max()) + 1
+    loop = ids[:, 0] == ids[:, 1]
+    keys = np.sort(edge_keys(n, ids[~loop, 0], ids[~loop, 1]))
+    fresh = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    hist = degree_histogram([Graph(n=n, edges=edges_from_keys(n, keys[fresh]))])
+    hist.duplicates_dropped = int(keys.size - np.count_nonzero(fresh))
+    hist.self_loops_dropped = int(np.count_nonzero(loop))
     return hist

@@ -206,11 +206,6 @@ def expected_avg_degree_finite_n(p: EnsembleParams) -> float:
     return (p.n - 1) * mean_kernel_value(p)
 
 
-def expected_avg_degree_classical(p: EnsembleParams) -> float:
-    """Closed form (n-1)/beta^2 * exp(-2 r_n) * (1 - exp(-gamma r_n))^2 for the product kernel."""
-    return (p.n - 1) / p.beta**2 * math.exp(-2.0 * p.r_n) * (-math.expm1(-p.gamma * p.r_n)) ** 2
-
-
 def finite_size_epsilon(p: EnsembleParams) -> float:
     """Finite-size correction exp(-(gamma-1) r_n) - exp(-2 gamma r_n)."""
     return math.exp(-(p.gamma - 1.0) * p.r_n) - math.exp(-2.0 * p.gamma * p.r_n)

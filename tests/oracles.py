@@ -9,12 +9,17 @@ a 1D Gamma(2, gamma) integral and evaluates kappa_n by scipy's hyp2f1:
 * the mpmath oracles evaluate the same quantities at 40 significant digits,
   for sizes where double-precision nested quadrature drifts;
 * the box-average oracle integrates one partition box with scipy dblquad.
+
+The last three helpers are closed forms and fits that only the tests use.
 """
 
 import math
 
 import mpmath as mp
+import numpy as np
 from scipy import integrate
+
+from hscm.graphon import kernel
 
 
 def _h_fermi_dirac(s):
@@ -130,3 +135,28 @@ def box_average_oracle(p, a, b, c, d, kernel):
     mass_x = math.exp(gamma * (b - r_n)) - math.exp(gamma * (a - r_n))
     mass_y = math.exp(gamma * (d - r_n)) - math.exp(gamma * (c - r_n))
     return val / (mass_x * mass_y)
+
+
+def bracket_bounds(avg):
+    """(min, max) of the kernel under an AveragedGraphon on every box.
+
+    The kernel decreases in x + y, so on box (s, t) the extremes sit at
+    the corners rho[s+1] + rho[t+1] (min) and rho[s] + rho[t] (max).
+    """
+    k = kernel(avg.kind)
+    right = avg.part.rho[1:]
+    left = avg.part.rho[:-1]
+    return k(right[:, None], right[None, :]), k(left[:, None], left[None, :])
+
+
+def deviation_log_slope(series, nu):
+    """Least-squares slope of log |n sigma/log n - nu| against log log n."""
+    ns = np.array([n for n, _ in series], dtype=float)
+    dev = np.abs(np.array([v for _, v in series]) - nu)
+    assert np.all(dev > 0.0), "zero deviation; slope undefined"
+    return float(np.polyfit(np.log(np.log(ns)), np.log(dev), 1)[0])
+
+
+def expected_avg_degree_classical(p):
+    """Closed form (n-1)/beta^2 * exp(-2 r_n) * (1 - exp(-gamma r_n))^2 for the product kernel."""
+    return (p.n - 1) / p.beta**2 * math.exp(-2.0 * p.r_n) * (-math.expm1(-p.gamma * p.r_n)) ** 2

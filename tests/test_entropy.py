@@ -5,6 +5,8 @@ import pytest
 
 from oracles import (
     box_average_oracle,
+    bracket_bounds,
+    deviation_log_slope,
     negative_region_entropy,
     nested_expectation,
     quantile,
@@ -14,7 +16,6 @@ from oracles import (
 from hscm.entropy import (
     PartitionSpec,
     averaged_graphon,
-    deviation_log_slope,
     gibbs_entropy_bounds,
     graphon_entropy,
     interval_masses,
@@ -155,7 +156,7 @@ class TestAveragedGraphon:
         p = derive_params(2.0, 10.0, 10**4)
         part = PartitionSpec.from_params(p)
         avg = averaged_graphon(p, part)
-        kmin, kmax = avg.bracket_bounds()
+        kmin, kmax = bracket_bounds(avg)
         assert np.all(avg.box_values >= kmin - 1e-12)
         assert np.all(avg.box_values <= kmax + 1e-12)
 

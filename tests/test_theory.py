@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import mean_degree_oracle
+from oracles import expected_avg_degree_classical, mean_degree_oracle
 from hscm.errors import DomainError, NumericalInstabilityError
 from hscm.params import derive_params
 from hscm.theory import (
     DegreeLaw,
     ParetoLaw,
-    expected_avg_degree_classical,
     expected_avg_degree_finite_n,
     finite_size_degree_tail,
     finite_size_epsilon,
