@@ -22,6 +22,7 @@ from .errors import (
     HscmError,
     InsufficientTailError,
     NumericalInstabilityError,
+    ParseError,
     QuadratureError,
     SizeGuardError,
 )

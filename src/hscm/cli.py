@@ -21,9 +21,9 @@ from .entropy import gibbs_entropy_bounds
 from .errors import (
     ConvergenceError,
     DomainError,
-    EdgeListParseError,
     InsufficientTailError,
     NumericalInstabilityError,
+    ParseError,
     QuadratureError,
     SizeGuardError,
 )
@@ -182,9 +182,7 @@ def cmd_theory(cfg) -> int:
 def cmd_scm_solve(cfg) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     if cfg.degrees_file:
-        with open(cfg.degrees_file, "r", encoding="utf-8") as fh:
-            k = [float(tok) for tok in fh.read().split()]
-        inst = solve_scm(k, tol=cfg.tol)
+        inst = solve_scm(hio.read_degrees(cfg.degrees_file), tol=cfg.tol)
         source = {"degrees_file": cfg.degrees_file}
     else:
         p = derive_params(cfg.gamma, cfg.nu, cfg.n)
@@ -323,7 +321,7 @@ def main(argv=None) -> int:
             InsufficientTailError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (OSError, EdgeListParseError) as exc:
+    except (OSError, ParseError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
 

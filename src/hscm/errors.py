@@ -29,10 +29,14 @@ class InsufficientTailError(HscmError, ValueError):
     """Not enough usable tail data for a tail-exponent fit."""
 
 
-class EdgeListParseError(HscmError, ValueError):
-    """An edge-list file could not be parsed."""
+class ParseError(HscmError, ValueError):
+    """An input file could not be parsed; names the file and its 1-based line."""
 
     def __init__(self, path, line_number, message):
         self.path = path
         self.line_number = line_number
         super().__init__(f"{path}:{line_number}: {message}")
+
+
+class EdgeListParseError(ParseError):
+    """An edge-list file could not be parsed."""

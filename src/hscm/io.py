@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import EdgeListParseError
+from .errors import EdgeListParseError, ParseError
 from .sampler import Graph
 
 SCHEMA_VERSION = 1
@@ -64,6 +64,17 @@ def _file_line(path, row: int) -> int:
     return 0
 
 
+def _decode_error(path):
+    """(1-based line, message) of the first line of `path` that is not UTF-8."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")  # b"\n" is never inside a multi-byte character
+            except UnicodeDecodeError as exc:
+                return lineno, str(exc)
+    return 0, "text is not utf-8"
+
+
 def _reject_ids(path, ids, bad, reason):
     """Raise EdgeListParseError at the first id flagged in `bad`, if any."""
     if bad.any():
@@ -84,6 +95,8 @@ def parse_edge_list(path):
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             ids = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2,
                              usecols=(0, 1), encoding="utf-8")
+    except UnicodeDecodeError:
+        raise EdgeListParseError(path, *_decode_error(path)) from None
     except ValueError as exc:
         for pattern, base, message in _LOADTXT_ROW:
             match = pattern.match(str(exc))
@@ -98,12 +111,34 @@ def parse_edge_list(path):
 
 
 def read_edge_list(path) -> Graph:
-    """Read an edge list written by write_edge_list (header required for n)."""
+    """Read an edge list written by write_edge_list (header required for n).
+
+    The first line that breaks Graph's form raises EdgeListParseError.
+    """
     ids, n = parse_edge_list(path)
     if n is None:
         raise EdgeListParseError(path, 0, f"missing '# {EDGE_FORMAT_TAG}' header")
-    _reject_ids(path, ids, ids >= n, f"out of range for n={n}")
-    return Graph(n=n, edges=ids).validate()
+    graph = Graph(n=n, edges=ids)
+    fault = graph.first_fault()
+    if fault is not None:
+        raise EdgeListParseError(path, _file_line(path, fault[0]), fault[1])
+    return graph
+
+
+def read_degrees(path) -> list:
+    """The whitespace-separated numbers of a text file, as expected degrees.
+
+    A token that is not a number, or a line that is not UTF-8, raises
+    ParseError naming the file line.
+    """
+    degrees = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                degrees.extend(float(token) for token in line.decode("utf-8").split())
+            except ValueError as exc:  # also UnicodeDecodeError
+                raise ParseError(path, lineno, str(exc)) from None
+    return degrees
 
 
 def write_json(path, payload: dict):

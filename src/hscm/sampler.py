@@ -62,15 +62,18 @@ class Graph:
         keep = (self.edges[:, 0] < n_prime) & (self.edges[:, 1] < n_prime)
         return Graph(n=n_prime, edges=self.edges[keep])
 
-    def validate(self):
+    def first_fault(self):
+        """(row, message) of the first edge that breaks the form above, or None."""
         e = self.edges
-        if e.size and (e.min() < 0 or e.max() >= self.n):
-            raise DomainError("edge endpoint out of range")
-        if np.any(e[:, 0] >= e[:, 1]):
-            raise DomainError("edges must satisfy i < j")
-        if np.any(np.diff(edge_keys(self.n, e[:, 0], e[:, 1])) <= 0):
-            raise DomainError("edges must be sorted lexicographically, without duplicates")
-        return self
+        step = np.diff(edge_keys(self.n, e[:, 0], e[:, 1]), prepend=-1)
+        faults = [(int(np.argmax(bad)), reason) for bad, reason in (
+            (((e < 0) | (e >= self.n)).any(axis=1), f"has a node id out of range for n={self.n}"),
+            (e[:, 0] >= e[:, 1], "is not ordered i < j"),
+            (step <= 0, "repeats or precedes the edge before it")) if bad.any()]
+        if not faults:
+            return None
+        row, reason = min(faults)
+        return row, f"edge {e[row, 0]} {e[row, 1]} {reason}"
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,10 @@ from .graphon import _logistic_neg
 from .params import Representation
 from .sampler import CoordinateSample
 
+_MAX_ITER = 200  # residual evaluations; sampled degree sequences need 4-5 Newton steps
+_MIN_STEP = 2.0 ** -30  # the safeguard halves a Newton step at most 30 times
+_BLOCK_ELEMENTS = 1 << 20  # pair probabilities hscm_to_scm holds at once
+
 
 @dataclass(frozen=True)
 class ScmInstance:
@@ -31,86 +35,56 @@ class ScmInstance:
     multipliers: np.ndarray
     residual: float
 
-    def probability_matrix(self) -> np.ndarray:
-        """p_ij matrix with zero diagonal."""
-        lam = self.multipliers
-        pm = _logistic_neg(lam[:, None] + lam[None, :])
-        np.fill_diagonal(pm, 0.0)
-        return pm
 
-    def realized_expected_degrees(self) -> np.ndarray:
-        return self.probability_matrix().sum(axis=1)
+def solve_scm(k, tol: float = 1e-10) -> ScmInstance:
+    """Solve the multiplier equations by Newton's method over degree classes.
 
-
-def _degree_sums(lam: np.ndarray) -> np.ndarray:
-    pm = _logistic_neg(lam[:, None] + lam[None, :])
-    np.fill_diagonal(pm, 0.0)
-    return pm.sum(axis=1)
-
-
-def _bisection_sweeps(lam, k, tol, sweeps):
-    """Gauss-Seidel fallback: exact monotone 1D solve per coordinate."""
-    n = lam.size
-    for _ in range(sweeps):
-        for i in range(n):
-            others = np.delete(lam, i)
-            ki = k[i]
-
-            def f(li):
-                return _logistic_neg(li + others).sum() - ki
-
-            lo, hi = -60.0, 60.0
-            if f(lo) < 0 or f(hi) > 0:
-                raise ConvergenceError("expected degree outside the bracketable range")
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if f(mid) > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            lam[i] = 0.5 * (lo + hi)
-        res = float(np.max(np.abs(_degree_sums(lam) - k)))
-        if res < tol:
-            return lam, res
-    return lam, float(np.max(np.abs(_degree_sums(lam) - k)))
-
-
-def solve_scm(k, tol: float = 1e-10, max_iter: int = 2000, eta: float = 0.5) -> ScmInstance:
-    """Solve the multiplier equations by damped fixed-point iteration.
-
-    Update l_i += eta * log(sum_j p_ij / k_i); if the iteration stalls, fall
-    back to per-coordinate bisection sweeps.  Raises ConvergenceError if the
-    residual never reaches tol.
+    Nodes with equal target degree share a multiplier (the solution is
+    unique), so there is one unknown per distinct degree v_a, of multiplicity
+    m_a.  Each Newton step on the convex dual is halved until the residual
+    max_i |sum_j p_ij - k_i| falls.  A singular Hessian or non-finite step, a
+    step halved below 2**-30, or 200 residual evaluations without reaching
+    tol raise ConvergenceError naming the residual.
     """
     k = np.asarray(k, dtype=float)
     n = k.size
     if n < 2:
         raise DomainError("need at least two nodes")
-    if np.any(k <= 0.0) or np.any(k >= n - 1):
-        raise DomainError("expected degrees must satisfy 0 < k_i < n - 1")
+    bad = ~((k > 0.0) & (k < n - 1))  # also flags NaN
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"expected degree k[{i}] = {k[i]} outside (0, n - 1) for n={n}")
 
-    lam = np.log(np.sqrt(k.sum()) / k)
-    best = np.inf
-    stall = 0
-    for _ in range(max_iter):
-        s = _degree_sums(lam)
-        res = float(np.max(np.abs(s - k)))
+    v, inverse, m = np.unique(k, return_inverse=True, return_counts=True)
+    m = m.astype(float)
+    lam, step, t, res = np.log(np.sqrt(m @ v) / v), np.zeros(v.size), 0.0, np.inf
+    for _ in range(_MAX_ITER):
+        trial = lam + t * step
+        p = _logistic_neg(trial[:, None] + trial[None, :])
+        s = p @ m - np.diag(p)  # expected degree of each class
+        trial_res = float(np.max(np.abs(s - v)))
+        if trial_res >= res:  # safeguard: halve the step
+            t *= 0.5
+            if t < _MIN_STEP:
+                raise ConvergenceError(f"Newton step stalled at residual {res:.3e} "
+                                       f"(tol {tol:.1e})")
+            continue
+        lam, res = trial, trial_res
         if res < tol:
-            return ScmInstance(n=n, expected_degrees=k.copy(), multipliers=lam,
+            return ScmInstance(n=n, expected_degrees=k.copy(), multipliers=lam[inverse],
                                residual=res)
-        if res < 0.5 * best:
-            best = res
-            stall = 0
-        else:
-            stall += 1
-        if stall > 60:
-            break  # oscillating or crawling; switch to bisection
-        lam = lam + eta * np.log(s / k)
-
-    lam, res = _bisection_sweeps(lam, k, tol, sweeps=300)
-    if res >= tol:
-        raise ConvergenceError(f"solver stalled at residual {res:.3e} (tol {tol:.1e})")
-    return ScmInstance(n=n, expected_degrees=k.copy(), multipliers=lam, residual=res)
+        q = p * (1.0 - p)
+        hess = np.outer(m, m) * q
+        hess[np.diag_indices_from(hess)] += m * (q @ m - 2.0 * np.diag(q))
+        try:
+            step = np.linalg.solve(hess, m * (s - v))
+        except np.linalg.LinAlgError:
+            raise ConvergenceError(f"singular Newton system at residual {res:.3e}") from None
+        if not np.all(np.isfinite(step)):
+            raise ConvergenceError(f"non-finite Newton step at residual {res:.3e}")
+        t = 1.0
+    raise ConvergenceError(f"no convergence in {_MAX_ITER} iterations: residual {res:.3e} "
+                           f"(tol {tol:.1e})")
 
 
 def hscm_to_scm(c: CoordinateSample) -> ScmInstance:
@@ -119,11 +93,17 @@ def hscm_to_scm(c: CoordinateSample) -> ScmInstance:
     Multipliers are the exponential coordinates themselves (no solving); the
     induced edge probabilities equal the latent-conditional probabilities of
     the hypersoft ensemble exactly, and the reported expected degrees are
-    their row sums.
+    their row sums, taken over row blocks of bounded size.
     """
     if c.rep is not Representation.EXPONENTIAL:
         raise DomainError("hscm_to_scm requires exponential-representation coordinates")
     lam = np.asarray(c.coords, dtype=float)
-    k = _degree_sums(lam)
+    rows = max(1, _BLOCK_ELEMENTS // lam.size)
+    k = np.empty(lam.size)
+    for start in range(0, lam.size, rows):
+        block = _logistic_neg(lam[start:start + rows, None] + lam[None, :])
+        i = np.arange(block.shape[0])
+        block[i, start + i] = 0.0  # no self-pairs
+        k[start:start + rows] = block.sum(axis=1)
     return ScmInstance(n=lam.size, expected_degrees=k, multipliers=lam.copy(),
                        residual=0.0)

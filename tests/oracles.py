@@ -8,16 +8,19 @@ a 1D Gamma(2, gamma) integral and evaluates kappa_n by scipy's hyp2f1:
   the latent square, truncated at a small latent-measure quantile;
 * the mpmath oracles evaluate the same quantities at 40 significant digits,
   for sizes where double-precision nested quadrature drifts;
-* the box-average oracle integrates one partition box with scipy dblquad.
+* the box-average oracle integrates one partition box with scipy dblquad;
+* the SCM oracles build the dense n x n probability matrix with scipy's
+  expit, where the solver works over degree classes.
 
-The last three helpers are closed forms and fits that only the tests use.
+bracket_bounds, deviation_log_slope and expected_avg_degree_classical are
+closed forms and fits that only the tests use.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from hscm.graphon import kernel
 
@@ -160,3 +163,16 @@ def deviation_log_slope(series, nu):
 def expected_avg_degree_classical(p):
     """Closed form (n-1)/beta^2 * exp(-2 r_n) * (1 - exp(-gamma r_n))^2 for the product kernel."""
     return (p.n - 1) / p.beta**2 * math.exp(-2.0 * p.r_n) * (-math.expm1(-p.gamma * p.r_n)) ** 2
+
+
+def probability_matrix(inst):
+    """Dense SCM p_ij = 1 / (exp(l_i + l_j) + 1) of an ScmInstance, zero diagonal."""
+    lam = inst.multipliers
+    pm = special.expit(-(lam[:, None] + lam[None, :]))
+    np.fill_diagonal(pm, 0.0)
+    return pm
+
+
+def realized_expected_degrees(inst):
+    """Row sums of the dense probability matrix: each node's expected degree."""
+    return probability_matrix(inst).sum(axis=1)

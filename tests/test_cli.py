@@ -188,6 +188,24 @@ class TestScmIngestAndErrors:
         assert doc["residual"] == 0.0
         assert len(doc["multipliers"]) == 20
 
+    def test_scm_solve_malformed_degrees(self, tmp_path, capsys):
+        degrees = tmp_path / "k.txt"
+        degrees.write_text("1.0 nan 1.0\n")
+        assert run_cli("scm-solve", "--degrees-file", degrees, "--out", tmp_path) == 2
+        degrees.write_text("0.5 0.5\n0.5 x\n")
+        assert run_cli("scm-solve", "--degrees-file", degrees, "--out", tmp_path) == 4
+        assert f"{degrees}:2: could not convert string to float: 'x'" in capsys.readouterr().err
+        degrees.write_bytes(b"0.5 0.5\n0.5 \xff\n")
+        assert run_cli("scm-solve", "--degrees-file", degrees, "--out", tmp_path) == 4
+        assert f"{degrees}:2: 'utf-8' codec" in capsys.readouterr().err
+        assert not (tmp_path / "scm.json").exists()
+
+    def test_scm_solve_infeasible_exit_3(self, tmp_path, capsys):
+        degrees = tmp_path / "k.txt"
+        degrees.write_text("2.9 2.9 2.9 0.1\n")
+        assert run_cli("scm-solve", "--degrees-file", degrees, "--out", tmp_path) == 3
+        assert "residual" in capsys.readouterr().err
+
     def test_ingest_round_trip(self, tmp_path):
         gdir, idir = tmp_path / "g", tmp_path / "i"
         run_cli("generate", "--gamma", 2, "--nu", 10, "--n", 400, "--replicas", 1,

@@ -123,6 +123,32 @@ def test_non_utf8_is_a_parse_error(tmp_path):
         ingest_edge_list(str(path))
 
 
+@pytest.mark.parametrize("reader", [ingest_edge_list, read_edge_list])
+def test_non_utf8_names_its_line(tmp_path, reader):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(b"0 1\n1 \xff\n")
+    with pytest.raises(EdgeListParseError, match="utf-8") as err:
+        reader(str(path))
+    assert err.value.line_number == 2
+
+
+ORDER_FAULTS = [
+    ("3 1\n", "edge 3 1 is not ordered i < j"),  # reversed pair
+    ("0 1\n", "edge 0 1 repeats or precedes"),  # unsorted
+    ("0 2\n", "edge 0 2 repeats or precedes"),  # duplicate line
+]
+
+
+@pytest.mark.parametrize("bad,message", ORDER_FAULTS, ids=["reversed", "unsorted", "duplicate"])
+def test_order_fault_names_its_line(tmp_path, bad, message):
+    path = tmp_path / "g.edges"
+    path.write_text("# hscm v1 n=5 seed=1\n0 2\n\n# c\n" + bad + "3 4\n")
+    with pytest.raises(EdgeListParseError) as err:
+        read_edge_list(str(path))
+    assert err.value.line_number == 5
+    assert f"{path}:5: {message}" in str(err.value)
+
+
 def test_out_of_range_id_in_edges_file(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("# hscm v1 n=3 seed=1\n0 1\n# c\n1 3\n")

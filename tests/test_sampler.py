@@ -23,15 +23,17 @@ from hscm.sampler import (
 
 class TestGraphType:
     def test_validate_catches_malformed(self):
-        Graph(n=3, edges=np.array([[0, 1], [0, 2]])).validate()
-        with pytest.raises(DomainError):
-            Graph(n=2, edges=np.array([[0, 2]])).validate()
-        with pytest.raises(DomainError):
-            Graph(n=3, edges=np.array([[1, 1]])).validate()
-        with pytest.raises(DomainError):
-            Graph(n=3, edges=np.array([[0, 2], [0, 1]])).validate()
-        with pytest.raises(DomainError):
-            Graph(n=3, edges=np.array([[0, 1], [0, 1]])).validate()
+        assert Graph(n=3, edges=np.array([[0, 1], [0, 2]])).first_fault() is None
+        assert Graph(n=2, edges=np.array([[0, 2]])).first_fault() == (
+            0, "edge 0 2 has a node id out of range for n=2")
+        assert Graph(n=3, edges=np.array([[1, 1]])).first_fault() == (
+            0, "edge 1 1 is not ordered i < j")
+        assert Graph(n=3, edges=np.array([[0, 2], [0, 1]])).first_fault() == (
+            1, "edge 0 1 repeats or precedes the edge before it")
+        assert Graph(n=3, edges=np.array([[0, 1], [0, 1]])).first_fault() == (
+            1, "edge 0 1 repeats or precedes the edge before it")
+        # the earliest fault wins over a later one of another kind
+        assert Graph(n=4, edges=np.array([[1, 2], [0, 3], [3, 2]])).first_fault()[0] == 1
 
     def test_degrees_and_prefix(self):
         g = Graph(n=4, edges=np.array([[0, 1], [0, 3], [2, 3]]))
@@ -119,7 +121,7 @@ class TestFastSampler:
         g1 = sample_graph_fast(c, 9)
         g2 = sample_graph_fast(c, 9)
         assert np.array_equal(g1.edges, g2.edges)
-        g1.validate()
+        assert g1.first_fault() is None
 
     def test_row_partitioning_invariance(self):
         # splitting the anchor rows into arbitrary chunks and merging must
@@ -184,7 +186,7 @@ class TestFastSampler:
         p = derive_params(2.0, 10.0, 500)
         cu = sample_coordinates(p, 4, Representation.UNIT_INTERVAL)
         gy = sample_graph_fast(cu, 5)
-        gy.validate()
+        assert gy.first_fault() is None
         assert gy.n == 500
 
     def test_mean_degree_by_coordinate_bucket(self):

@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from hscm.errors import DomainError
+from oracles import probability_matrix, realized_expected_degrees
+from hscm import scm
+from hscm.errors import ConvergenceError, DomainError
 from hscm.params import Representation, derive_params
-from hscm.sampler import CoordinateSample, sample_coordinates
+from hscm.sampler import CoordinateSample, sample_coordinates, sample_graph_fast
 from hscm.scm import hscm_to_scm, solve_scm
 from hscm.theory import expected_avg_degree_finite_n
 
@@ -25,7 +29,7 @@ class TestSolve:
         inst = solve_scm([1.0, 1.0, 1.0], tol=1e-11)
         assert np.max(np.abs(inst.multipliers)) <= 1e-10
         assert inst.residual < 1e-10
-        pm = inst.probability_matrix()
+        pm = probability_matrix(inst)
         assert pm[0, 1] == pytest.approx(0.5, abs=1e-10)
         assert pm[0, 0] == 0.0
 
@@ -59,7 +63,65 @@ class TestSolve:
         k = np.clip(4.0 * rng.pareto(2.0, 150) + 0.3, 0.1, 120.0)
         inst = solve_scm(k, tol=1e-10)
         assert inst.residual < 1e-10
-        assert np.max(np.abs(inst.realized_expected_degrees() - k)) < 1e-9
+        assert np.max(np.abs(realized_expected_degrees(inst) - k)) < 1e-9
+
+
+def sampled_degrees(n, seed):
+    """Positive degrees of a gamma=2, nu=10 sample: integers with many ties."""
+    p = derive_params(2.0, 10.0, n)
+    k = sample_graph_fast(sample_coordinates(p, seed), seed + 1).degrees()
+    return k[k > 0].astype(float)
+
+
+def heavy_tailed_degrees(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.clip(3.0 * rng.pareto(1.5, n) + 0.2, 0.1, 0.4 * n)
+
+
+class TestDegreeClasses:
+    @pytest.mark.parametrize("k", [heavy_tailed_degrees(600, 2), sampled_degrees(3000, 4)],
+                             ids=["heavy-tailed", "sampled-integer"])
+    def test_matches_dense_oracle(self, k):
+        inst = solve_scm(k)
+        assert inst.residual < 1e-10
+        assert np.max(np.abs(realized_expected_degrees(inst) - k)) <= 1e-9
+
+    def test_equal_degrees_share_bit_identical_multipliers(self):
+        k = sampled_degrees(3000, 4)
+        lam = solve_scm(k).multipliers
+        assert np.unique(k).size < k.size / 20
+        for value in np.unique(k):
+            assert np.unique(lam[k == value]).size == 1
+        perm = np.random.default_rng(0).permutation(k.size)
+        assert np.array_equal(solve_scm(k[perm]).multipliers, lam[perm])
+
+    def test_infeasible_degrees_raise_convergence_error(self):
+        # three nodes of degree 2.9 need 2.7 expected edges from a node of degree 0.1
+        with pytest.raises(ConvergenceError, match="residual"):
+            solve_scm([2.9, 2.9, 2.9, 0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_degrees_rejected(self, bad):
+        with pytest.raises(DomainError, match="k\\[1\\]"):
+            solve_scm([1.0, bad, 1.0])
+
+    def test_large_integer_sequence_needs_no_dense_matrix(self):
+        k = sampled_degrees(20000, 6)
+        n = k.size
+        tracemalloc.start()
+        try:
+            inst = solve_scm(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n >= 19000 and peak < 0.01 * 8 * n * n
+        assert inst.residual < 1e-10
+        # row sums of a random subset of nodes against all others
+        rows = np.random.default_rng(1).choice(n, 200, replace=False)
+        lam = inst.multipliers
+        pm = expit(-(lam[rows, None] + lam[None, :]))
+        pm[np.arange(rows.size), rows] = 0.0
+        assert np.max(np.abs(pm.sum(axis=1) - k[rows])) <= 1e-9
 
 
 class TestFrozenCoordinates:
@@ -68,8 +130,16 @@ class TestFrozenCoordinates:
         c = CoordinateSample(params=p, rep=Representation.EXPONENTIAL,
                              coords=np.zeros(2), seed=0)
         inst = hscm_to_scm(c)
-        assert inst.probability_matrix()[0, 1] == pytest.approx(0.5, abs=1e-15)
+        assert probability_matrix(inst)[0, 1] == pytest.approx(0.5, abs=1e-15)
         assert inst.residual == 0.0
+
+    def test_row_blocks_match_dense_oracle(self, monkeypatch):
+        c = sample_coordinates(derive_params(2.0, 10.0, 50), 7)
+        whole = hscm_to_scm(c).expected_degrees
+        monkeypatch.setattr(scm, "_BLOCK_ELEMENTS", 7 * 50)  # 8 blocks, the last partial
+        inst = hscm_to_scm(c)
+        assert np.max(np.abs(inst.expected_degrees - realized_expected_degrees(inst))) <= 1e-12
+        assert np.array_equal(inst.expected_degrees, whole)
 
     def test_requires_exponential_rep(self):
         p = derive_params(2.0, 10.0, 10)
