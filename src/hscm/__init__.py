@@ -21,7 +21,6 @@ from .errors import (
     EdgeListParseError,
     HscmError,
     InsufficientTailError,
-    NumericalInstabilityError,
     ParseError,
     QuadratureError,
     SizeGuardError,
@@ -70,7 +69,6 @@ from .theory import (
     ParetoLaw,
     expected_avg_degree_finite_n,
     finite_size_degree_tail,
-    mixed_poisson_pmf_oracle,
     pareto_tail,
 )
 

@@ -22,7 +22,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     InsufficientTailError,
-    NumericalInstabilityError,
     ParseError,
     QuadratureError,
     SizeGuardError,
@@ -59,7 +58,7 @@ def _generate_one(args_tuple):
 def _generate_graphs(cfg, seed):
     jobs = [(cfg.gamma, cfg.nu, cfg.n, seed, i, cfg.sampler, cfg.rep)
             for i in range(cfg.replicas)]
-    if getattr(cfg, "jobs", 1) > 1:
+    if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_generate_one, jobs))
     else:
@@ -227,6 +226,19 @@ def cmd_ingest(cfg) -> int:
     return 0
 
 
+def _at_least(lo):
+    """argparse type: an integer no smaller than lo."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return parse
+
+
 def _add_model_args(sp, need_n=True):
     sp.add_argument("--gamma", type=float, required=True, help="power-law shape, > 1")
     sp.add_argument("--nu", type=float, required=True, help="target average degree, > 0")
@@ -235,14 +247,14 @@ def _add_model_args(sp, need_n=True):
 
 
 def _add_sampling_args(sp):
-    sp.add_argument("--replicas", type=int, default=1)
+    sp.add_argument("--replicas", type=_at_least(1), default=1)
     sp.add_argument("--seed", type=int, required=True,
                     help="master seed (replica seeds are derived from it)")
     sp.add_argument("--sampler", choices=["fast", "naive", "growing"], default="fast")
     sp.add_argument("--rep", choices=[r.value for r in Representation],
                     default=Representation.EXPONENTIAL.value,
                     help="coordinate representation to sample in")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel replica workers")
+    sp.add_argument("--jobs", type=_at_least(1), default=1, help="parallel replica workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sampling_args(sp)
     sp.add_argument("--in", dest="input_dir", default=None,
                     help="read graphs from a generate output directory")
-    sp.add_argument("--k-max", dest="k_max", type=int, default=100)
+    sp.add_argument("--k-max", dest="k_max", type=_at_least(0), default=100)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_degrees)
 
@@ -275,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("theory", help="theoretical pmf, averages, tail curve")
     _add_model_args(sp)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=100)
-    sp.add_argument("--t-points", dest="t_points", type=int, default=200)
+    sp.add_argument("--k-max", dest="k_max", type=_at_least(0), default=100)
+    sp.add_argument("--t-points", dest="t_points", type=_at_least(1), default=200)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_theory)
 
@@ -317,8 +329,7 @@ def main(argv=None) -> int:
     except (DomainError, SizeGuardError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, ConvergenceError, NumericalInstabilityError,
-            InsufficientTailError) as exc:
+    except (QuadratureError, ConvergenceError, InsufficientTailError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, ParseError) as exc:

@@ -54,14 +54,6 @@ class PartitionSpec:
         rho[1:] = np.linspace(-p.r_n, p.r_n, m_n)
         return cls(m_n=m_n, rho=rho)
 
-    def refine_doubled(self) -> "PartitionSpec":
-        """Nested refinement: every finite interval halved."""
-        m2 = 2 * (self.m_n - 1) + 1
-        rho = np.empty(m2 + 1)
-        rho[0] = -np.inf
-        rho[1:] = np.linspace(self.rho[1], self.rho[-1], m2)
-        return PartitionSpec(m_n=m2, rho=rho)
-
 
 def interval_masses(p: EnsembleParams, part: PartitionSpec) -> np.ndarray:
     """Latent-measure mass of each partition interval (sums to 1)."""
@@ -121,31 +113,36 @@ def averaged_graphon(p: EnsembleParams, part: PartitionSpec,
 
     Finite intervals use Gauss-Legendre nodes in x weighted by the latent
     density; the unbounded first interval is mapped through u = CDF(x), where
-    the measure is uniform.  All boxes are assembled in one vectorized pass.
+    the measure is uniform.  The kernel depends on x + y only, and the finite
+    intervals are translates of one another whose normalized density weights
+    agree, so a finite x finite box depends on s + t alone: 2 m_n - 3 such
+    values, m_n - 1 for the first row and one corner fill the symmetric matrix.
     """
     gamma, r_n = p.gamma, p.r_n
     m = part.m_n
+    widths = np.diff(part.rho[1:])
+    if np.ptp(widths) > 1e-10 * widths.max():
+        raise DomainError("averaged_graphon needs finite intervals of equal width")
     masses = interval_masses(p, part)
-    nodes = np.empty((m, gl_order))
-    weights = np.empty((m, gl_order))
-    u1 = math.exp(gamma * (part.rho[1] - r_n))
-    un, uw = gauss_legendre_nodes(0.0, u1, gl_order)
-    nodes[0] = r_n + np.log(un) / gamma
-    weights[0] = uw
-    for t in range(1, m):
-        xn, xw = gauss_legendre_nodes(part.rho[t], part.rho[t + 1], gl_order)
-        nodes[t] = xn
-        weights[t] = xw * gamma * np.exp(gamma * (xn - r_n))
+    un, uw = gauss_legendre_nodes(0.0, math.exp(gamma * (part.rho[1] - r_n)), gl_order)
+    x0, w0 = r_n + np.log(un) / gamma, uw / masses[0]
+    x1, w1 = gauss_legendre_nodes(part.rho[1], part.rho[2], gl_order)
+    w1 = w1 * gamma * np.exp(gamma * (x1 - r_n)) / masses[1]
+    shifts = widths[0] * np.arange(2 * m - 3)  # finite box (s, t) at shift index s + t - 2
 
     k = kernel(kind)
-    flat_nodes = nodes.ravel()
-    flat_weights = weights.ravel()
+
+    def tensor_mean(xa, wa, xb, wb, shift):
+        kmat = k(shift[:, None, None] + xa[None, :, None], xb[None, None, :])
+        return np.einsum("i,j,cij->c", wa, wb, kmat)
+
+    finite = tensor_mean(x1, w1, x1, w1, shifts)
+    row = tensor_mean(x1, w1, x0, w0, shifts[:m - 1])
     box = np.empty((m, m))
-    for s in range(m):
-        kmat = k(nodes[s][:, None], flat_nodes[None, :])
-        row = (weights[s][:, None] * flat_weights[None, :] * kmat).sum(axis=0)
-        box[s] = row.reshape(m, gl_order).sum(axis=1)
-    box /= masses[:, None] * masses[None, :]
+    box[0, 0] = tensor_mean(x0, w0, x0, w0, np.zeros(1))[0]
+    box[0, 1:] = box[1:, 0] = row
+    idx = np.arange(m - 1)
+    box[1:, 1:] = finite[idx[:, None] + idx[None, :]]
     box = np.clip(box, 0.0, 1.0)
     return AveragedGraphon(params=p, part=part, kind=kind, masses=masses,
                            box_values=box)

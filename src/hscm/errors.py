@@ -13,10 +13,6 @@ class QuadratureError(HscmError, RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-class NumericalInstabilityError(HscmError, RuntimeError):
-    """Two independent routes to the same quantity disagree beyond tolerance."""
-
-
 class ConvergenceError(HscmError, RuntimeError):
     """An iterative solver did not converge within its iteration budget."""
 

@@ -119,11 +119,6 @@ def mu_n_quantile(p: EnsembleParams, u):
     return out if out.ndim else float(out)
 
 
-def negative_mass(p: EnsembleParams) -> float:
-    """Probability mass of negative coordinates, (beta**2 * nu / n) ** (gamma / 2)."""
-    return float(mu_n_cdf(p, 0.0))
-
-
 # Support membership: tolerances absorb round-trip floating-point noise.
 _SUPPORT_RTOL = 1e-9
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, SizeGuardError
 from .graphon import _logistic_neg
 from .params import Representation
 from .sampler import CoordinateSample
@@ -24,6 +24,7 @@ from .sampler import CoordinateSample
 _MAX_ITER = 200  # residual evaluations; sampled degree sequences need 4-5 Newton steps
 _MIN_STEP = 2.0 ** -30  # the safeguard halves a Newton step at most 30 times
 _BLOCK_ELEMENTS = 1 << 20  # pair probabilities hscm_to_scm holds at once
+_MAX_CLASSES = 4096  # distinct degrees; the solver holds ~8 C x C float64 arrays
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,8 @@ def solve_scm(k, tol: float = 1e-10) -> ScmInstance:
     m_a.  Each Newton step on the convex dual is halved until the residual
     max_i |sum_j p_ij - k_i| falls.  A singular Hessian or non-finite step, a
     step halved below 2**-30, or 200 residual evaluations without reaching
-    tol raise ConvergenceError naming the residual.
+    tol raise ConvergenceError naming the residual.  More than 4096 distinct
+    degrees raise SizeGuardError before any C x C array is allocated.
     """
     k = np.asarray(k, dtype=float)
     n = k.size
@@ -56,6 +58,10 @@ def solve_scm(k, tol: float = 1e-10) -> ScmInstance:
         raise DomainError(f"expected degree k[{i}] = {k[i]} outside (0, n - 1) for n={n}")
 
     v, inverse, m = np.unique(k, return_inverse=True, return_counts=True)
+    if v.size > _MAX_CLASSES:
+        raise SizeGuardError(f"{v.size} distinct expected degrees exceed the solver's limit "
+                             f"of {_MAX_CLASSES}: its work arrays would need "
+                             f"{8 * 8 * v.size**2} bytes")
     m = m.astype(float)
     lam, step, t, res = np.log(np.sqrt(m @ v) / v), np.zeros(v.size), 0.0, np.inf
     for _ in range(_MAX_ITER):

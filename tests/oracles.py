@@ -8,12 +8,18 @@ a 1D Gamma(2, gamma) integral and evaluates kappa_n by scipy's hyp2f1:
   the latent square, truncated at a small latent-measure quantile;
 * the mpmath oracles evaluate the same quantities at 40 significant digits,
   for sizes where double-precision nested quadrature drifts;
-* the box-average oracle integrates one partition box with scipy dblquad;
+* the box-average oracle integrates one partition box with scipy dblquad,
+  and averaged_box_oracle builds nodes on every interval and sums every box,
+  where the library uses that a finite box depends only on s + t;
+* the degree-pmf oracles integrate the Pareto mixing integral directly, or
+  evaluate the incomplete-gamma closed form with mpmath, where the library
+  runs a recurrence from one quadrature seed;
 * the SCM oracles build the dense n x n probability matrix with scipy's
   expit, where the solver works over degree classes.
 
-bracket_bounds, deviation_log_slope and expected_avg_degree_classical are
-closed forms and fits that only the tests use.
+bracket_bounds, deviation_log_slope, expected_avg_degree_classical,
+negative_mass, refine_doubled, tail_mass_bound and truncation_k are closed
+forms, fits and helpers that only the tests use.
 """
 
 import math
@@ -22,7 +28,11 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate, special
 
+from hscm.entropy import PartitionSpec, interval_masses
+from hscm.errors import DomainError
 from hscm.graphon import kernel
+from hscm.params import mu_n_cdf
+from hscm.quadrature import gauss_legendre_nodes, quad_checked
 
 
 def _h_fermi_dirac(s):
@@ -140,6 +150,46 @@ def box_average_oracle(p, a, b, c, d, kernel):
     return val / (mass_x * mass_y)
 
 
+def averaged_box_oracle(p, part, kind, gl_order=16):
+    """Box values of the averaged kernel, one Gauss-Legendre tensor per box.
+
+    Builds nodes and weights on every interval and sums a full row of boxes
+    at a time, with no use of the x + y or translation structure.
+    """
+    gamma, r_n = p.gamma, p.r_n
+    m = part.m_n
+    masses = interval_masses(p, part)
+    nodes = np.empty((m, gl_order))
+    weights = np.empty((m, gl_order))
+    u1 = math.exp(gamma * (part.rho[1] - r_n))
+    un, uw = gauss_legendre_nodes(0.0, u1, gl_order)
+    nodes[0] = r_n + np.log(un) / gamma
+    weights[0] = uw
+    for t in range(1, m):
+        xn, xw = gauss_legendre_nodes(part.rho[t], part.rho[t + 1], gl_order)
+        nodes[t] = xn
+        weights[t] = xw * gamma * np.exp(gamma * (xn - r_n))
+    k = kernel(kind)
+    flat_nodes = nodes.ravel()
+    flat_weights = weights.ravel()
+    box = np.empty((m, m))
+    for s in range(m):
+        kmat = k(nodes[s][:, None], flat_nodes[None, :])
+        row = (weights[s][:, None] * flat_weights[None, :] * kmat).sum(axis=0)
+        box[s] = row.reshape(m, gl_order).sum(axis=1)
+    box /= masses[:, None] * masses[None, :]
+    return np.clip(box, 0.0, 1.0)
+
+
+def refine_doubled(part):
+    """Nested refinement of a PartitionSpec: every finite interval halved."""
+    m2 = 2 * (part.m_n - 1) + 1
+    rho = np.empty(m2 + 1)
+    rho[0] = -np.inf
+    rho[1:] = np.linspace(part.rho[1], part.rho[-1], m2)
+    return PartitionSpec(m_n=m2, rho=rho)
+
+
 def bracket_bounds(avg):
     """(min, max) of the kernel under an AveragedGraphon on every box.
 
@@ -176,3 +226,56 @@ def probability_matrix(inst):
 def realized_expected_degrees(inst):
     """Row sums of the dense probability matrix: each node's expected degree."""
     return probability_matrix(inst).sum(axis=1)
+
+
+def negative_mass(p):
+    """Probability mass of negative coordinates, (beta**2 * nu / n) ** (gamma / 2)."""
+    return float(mu_n_cdf(p, 0.0))
+
+
+def mixed_poisson_pmf_oracle(law, k, rtol=1e-12):
+    """P(D = k) by direct quadrature of the Pareto mixing integral.
+
+    Integrand exp(k log y - y - lgamma(k+1)) * pdf(y) is evaluated in log
+    space, split at its mode, so it stays finite-precision stable for k up to
+    at least 1e4.  This is the brute-force oracle for DegreeLaw.pmf_array.
+    """
+    if k < 0 or k != int(k):
+        raise DomainError(f"degree must be a non-negative integer, got {k}")
+    gamma, a = law.shape, law.scale
+    log_front = math.log(gamma) + gamma * math.log(a) - math.lgamma(k + 1.0)
+    power = k - gamma - 1.0
+
+    def integrand(y):
+        return math.exp(log_front + power * math.log(y) - y)
+
+    mode = max(a, power)
+    upper = mode + 40.0 * math.sqrt(mode + 4.0) + 60.0
+    head = quad_checked(integrand, a, upper, rtol=rtol,
+                        points=[mode] if a < mode < upper else None)
+    tail = quad_checked(integrand, upper, np.inf, rtol=rtol)
+    return head + tail
+
+
+def pmf_mpmath(law, k, dps=40):
+    """P(D = k) = gamma a^gamma Gamma(k - gamma, a) / k! at `dps` digits (a = law.scale)."""
+    with mp.workdps(dps):
+        gamma, a = mp.mpf(law.shape), mp.mpf(law.scale)
+        return gamma * a**gamma * mp.gammainc(k - gamma, a) / mp.factorial(k)
+
+
+def tail_mass_bound(law, k):
+    """Upper bound on the pmf mass above degree k from the Pareto mixing tail."""
+    return law.scale**law.shape * float(k) ** (-law.shape)
+
+
+def truncation_k(law, tol, moment=0):
+    """Smallest K whose tail bound on the given moment's remainder is < tol."""
+    gamma, scale = law.shape, law.scale
+    if moment == 0:
+        return int(math.ceil(scale * tol ** (-1.0 / gamma))) + 1
+    if moment == 1:
+        return int(math.ceil(
+            (gamma * scale**gamma / ((gamma - 1.0) * tol)) ** (1.0 / (gamma - 1.0))
+        )) + 1
+    raise DomainError("only moments 0 and 1 are supported")

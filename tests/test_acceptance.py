@@ -12,6 +12,7 @@ import pytest
 from scipy import stats as sps
 
 from conftest import ACCEPT_SEED, replica_graph
+from oracles import mixed_poisson_pmf_oracle
 from hscm import rng
 from hscm.entropy import gibbs_entropy_bounds, rescaled_entropy_series, \
     verify_graphon_maximality
@@ -21,8 +22,7 @@ from hscm.sampler import CoordinateSample, sample_coordinates, sample_graph_fast
     sample_graph_growing, sample_graph_naive
 from hscm.scm import hscm_to_scm, solve_scm
 from hscm.stats import compare_to_theory
-from hscm.theory import DegreeLaw, expected_avg_degree_finite_n, \
-    mixed_poisson_pmf_oracle
+from hscm.theory import DegreeLaw, expected_avg_degree_finite_n
 
 
 def _report(criterion, passed, detail):

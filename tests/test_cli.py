@@ -142,6 +142,27 @@ class TestDegrees:
         assert calls == {"finite_n": 1, "asymptotic": 1}
 
 
+MODEL = ["--gamma", 2, "--nu", 10, "--n", 100]
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", *MODEL, "--k-max", -1],
+    ["degrees", *MODEL, "--seed", 1, "--k-max", -1],
+    ["theory", *MODEL, "--t-points", 0],
+    ["generate", *MODEL, "--seed", 1, "--replicas", -1],
+    ["degrees", *MODEL, "--seed", 1, "--replicas", 0],
+    ["generate", *MODEL, "--seed", 1, "--jobs", 0],
+], ids=["theory-k-max", "degrees-k-max", "t-points", "generate-replicas",
+        "degrees-replicas", "jobs"])
+def test_integer_flag_below_minimum_exits_2(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", tmp_path / "o")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 class TestEntropyCmd:
     def test_table(self, tmp_path):
         out = tmp_path / "e"
@@ -216,6 +237,12 @@ class TestScmIngestAndErrors:
         meta = json.loads((gdir / "meta.json").read_text())
         assert doc["edges"] == meta["replicas"][0]["edges"]
         assert doc["duplicates_dropped"] == 0
+
+    def test_scm_solve_too_many_classes_exit_2(self, tmp_path, capsys):
+        degrees = tmp_path / "k.txt"
+        degrees.write_text(" ".join(map(str, np.linspace(1.0, 2.0, 4097).tolist())) + "\n")
+        assert run_cli("scm-solve", "--degrees-file", degrees, "--out", tmp_path) == 2
+        assert "4097 distinct expected degrees" in capsys.readouterr().err
 
     def test_config_error_exit_2(self, tmp_path):
         assert run_cli("theory", "--gamma", 0.5, "--nu", 10, "--n", 100,

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    averaged_box_oracle,
     box_average_oracle,
     bracket_bounds,
     deviation_log_slope,
     negative_region_entropy,
     nested_expectation,
     quantile,
+    refine_doubled,
     sigma_mpmath,
     sigma_oracle,
 )
@@ -170,6 +172,22 @@ class TestAveragedGraphon:
                                      part.rho[t], part.rho[t + 1], w_fermi_dirac)
             assert avg.box_values[s, t] == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.parametrize("gamma,nu", [(2.0, 10.0), (1.1, 4.92)])
+    @pytest.mark.parametrize("n", [10**3, 10**5])
+    def test_box_sums_match_all_box_oracle(self, gamma, nu, n):
+        p = derive_params(gamma, nu, n)
+        part = PartitionSpec.from_params(p)
+        for kind in KernelKind:
+            got = averaged_graphon(p, part, kind).box_values
+            ref = averaged_box_oracle(p, part, kind)
+            assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_unequal_finite_widths_rejected(self):
+        p = derive_params(2.0, 10.0, 10**3)
+        rho = np.array([-np.inf, -p.r_n, -1.0, 0.5, p.r_n])
+        with pytest.raises(DomainError):
+            averaged_graphon(p, PartitionSpec(m_n=4, rho=rho))
+
     def test_refinement_decreases_sigma_toward_graphon_entropy(self):
         p = derive_params(2.0, 10.0, 10**4)
         sigma = graphon_entropy(p)
@@ -177,7 +195,7 @@ class TestAveragedGraphon:
         values = []
         for _ in range(4):
             values.append(averaged_graphon(p, part).sigma())
-            part = part.refine_doubled()
+            part = refine_doubled(part)
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         assert all(v >= sigma - 1e-12 for v in values)
         assert values[-1] == pytest.approx(sigma, rel=0.01)

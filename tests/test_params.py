@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats as sps
 
+from oracles import negative_mass
 from hscm import rng
 from hscm.errors import DomainError
 from hscm.graphon import w_fermi_dirac, w_pareto, w_unit_interval
@@ -17,7 +18,6 @@ from hscm.params import (
     mu_n_cdf,
     mu_n_density,
     mu_n_quantile,
-    negative_mass,
 )
 
 EXP = Representation.EXPONENTIAL

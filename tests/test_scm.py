@@ -7,7 +7,7 @@ from scipy.special import expit
 
 from oracles import probability_matrix, realized_expected_degrees
 from hscm import scm
-from hscm.errors import ConvergenceError, DomainError
+from hscm.errors import ConvergenceError, DomainError, SizeGuardError
 from hscm.params import Representation, derive_params
 from hscm.sampler import CoordinateSample, sample_coordinates, sample_graph_fast
 from hscm.scm import hscm_to_scm, solve_scm
@@ -104,6 +104,17 @@ class TestDegreeClasses:
     def test_non_finite_degrees_rejected(self, bad):
         with pytest.raises(DomainError, match="k\\[1\\]"):
             solve_scm([1.0, bad, 1.0])
+
+    def test_too_many_classes_raise_before_allocating(self):
+        k = np.linspace(1.0, 2.0, 4097)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match=r"4097 distinct.* 1074266176 bytes"):
+                solve_scm(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * k.size**2
 
     def test_large_integer_sequence_needs_no_dense_matrix(self):
         k = sampled_degrees(20000, 6)

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import zeta
 
 from conftest import pooled_histogram
+from oracles import truncation_k
 from hscm.errors import DomainError, EdgeListParseError, InsufficientTailError
 from hscm.params import derive_params
 from hscm.sampler import Graph
@@ -117,7 +118,7 @@ class TestTailExponent:
         # draws from the model's own limiting pmf recover alpha = gamma + 1
         p = derive_params(2.0, 10.0, 10**5)
         law = DegreeLaw(p)
-        K = law.truncation_k(1e-9)
+        K = truncation_k(law.mixing, 1e-9)
         pmf = law.pmf_array(K)
         rng = np.random.default_rng(7)
         sample = rng.choice(np.arange(K + 1), p=pmf / pmf.sum(), size=400000)

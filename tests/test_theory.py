@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import expected_avg_degree_classical, mean_degree_oracle
-from hscm.errors import DomainError, NumericalInstabilityError
+from oracles import (
+    expected_avg_degree_classical,
+    mean_degree_oracle,
+    mixed_poisson_pmf_oracle,
+    pmf_mpmath,
+    tail_mass_bound,
+    truncation_k,
+)
+from hscm.errors import DomainError
 from hscm.params import derive_params
 from hscm.theory import (
     DegreeLaw,
@@ -12,7 +19,6 @@ from hscm.theory import (
     expected_avg_degree_finite_n,
     finite_size_degree_tail,
     finite_size_epsilon,
-    mixed_poisson_pmf_oracle,
     pareto_tail,
 )
 
@@ -34,8 +40,14 @@ class TestParetoLaw:
         from scipy import integrate
 
         law = ParetoLaw(shape=1.1, scale=0.4472727272727273)
-        val, _ = integrate.quad(law.pdf, law.scale, np.inf)
+
+        def pdf(y):
+            return law.shape * law.scale**law.shape * y ** (-(law.shape + 1.0))
+
+        val, _ = integrate.quad(pdf, law.scale, np.inf)
         assert val == pytest.approx(1.0, abs=1e-9)
+        head, _ = integrate.quad(pdf, law.scale, 10.0)
+        assert 1.0 - head == pytest.approx(pareto_tail(law, 10.0), rel=1e-9)
 
     def test_invalid(self):
         with pytest.raises(DomainError):
@@ -51,27 +63,24 @@ class TestDegreePmf:
     @pytest.mark.parametrize("gamma,nu", list(FROZEN_PMF0))
     def test_pmf0_frozen_oracle_value(self, gamma, nu):
         law = DegreeLaw(derive_params(gamma, nu, 10**4))
-        assert law.pmf(0) == pytest.approx(self.FROZEN_PMF0[(gamma, nu)], rel=1e-10)
+        assert law.pmf_array(0)[0] == pytest.approx(self.FROZEN_PMF0[(gamma, nu)], rel=1e-10)
 
     @pytest.mark.parametrize("gamma,nu", [(1.1, 4.92), (2.0, 10.0), (3.5, 2.0)])
     def test_closed_form_vs_oracle_spot(self, gamma, nu):
         law = DegreeLaw(derive_params(gamma, nu, 10**4))
+        closed = law.pmf_array(100)
         for k in (0, 1, 2, 3, 7, 19, 31, 32, 33, 64, 100):
-            closed = law.pmf(k)
             brute = mixed_poisson_pmf_oracle(law.mixing, k)
-            assert closed == pytest.approx(brute, rel=1e-8)
+            assert closed[k] == pytest.approx(brute, rel=1e-8)
 
-    def test_validate_flag_cross_checks(self, monkeypatch):
-        law = DegreeLaw(derive_params(2.0, 10.0, 10**4), validate=True)
-        assert law.pmf(4) > 0  # built-in dual-route check passes
-
-        import hscm.theory as theory_mod
-
-        bad = DegreeLaw(derive_params(2.0, 10.0, 10**4), validate=True)
-        monkeypatch.setattr(theory_mod, "mixed_poisson_pmf_oracle",
-                            lambda mixing, k, rtol=1e-12: 1.0)
-        with pytest.raises(NumericalInstabilityError):
-            bad.pmf(6)
+    @pytest.mark.parametrize("gamma", [1.05, 1.1, 1.5, 2.0, 2.0001, 3.5])
+    @pytest.mark.parametrize("nu", [0.5, 4.92, 10.0, 50.0])
+    def test_recurrence_matches_mpmath(self, gamma, nu):
+        # k spans 30 + gamma, where an earlier version switched routes
+        law = DegreeLaw(derive_params(gamma, nu, 10**4))
+        pmf = law.pmf_array(1000)
+        for k in [*range(12), 31, 32, 33, 100, 1000]:
+            assert pmf[k] == pytest.approx(float(pmf_mpmath(law.mixing, k)), rel=1e-11)
 
     def test_power_tail_ratio(self):
         p = derive_params(2.0, 10.0, 10**4)
@@ -82,15 +91,15 @@ class TestDegreePmf:
 
     def test_normalization_at_truncation(self):
         law = DegreeLaw(derive_params(2.0, 10.0, 10**4))
-        K = law.truncation_k(1e-7, moment=0)
-        assert law.tail_mass_bound(K) < 1e-7
+        K = truncation_k(law.mixing, 1e-7, moment=0)
+        assert tail_mass_bound(law.mixing, K) < 1e-7
         total = law.pmf_array(K).sum()
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_mean_is_nu(self):
         # truncate where the tail-mean bound is 5x below the assertion band
         law = DegreeLaw(derive_params(2.0, 10.0, 10**4))
-        K = law.truncation_k(2e-5, moment=1)
+        K = truncation_k(law.mixing, 2e-5, moment=1)
         pmf = law.pmf_array(K)
         mean = float(np.arange(K + 1) @ pmf)
         assert mean == pytest.approx(10.0, abs=1e-4)
@@ -103,8 +112,9 @@ class TestDegreePmf:
 
     def test_negative_k_rejected(self):
         law = DegreeLaw(derive_params(2.0, 10.0, 100))
-        with pytest.raises(DomainError):
-            law.pmf(-1)
+        for bad in (-1, 2.5):
+            with pytest.raises(DomainError):
+                law.pmf_array(bad)
         with pytest.raises(DomainError):
             mixed_poisson_pmf_oracle(law.mixing, -2)
 
