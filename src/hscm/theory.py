@@ -6,10 +6,11 @@ shape gamma and scale beta*nu:
     P(D = k) = E[Y^k exp(-Y) / k!] = gamma (beta nu)^gamma Gamma(k - gamma, beta nu) / k!
 
 where Gamma(a, x) is the upper incomplete gamma function, continued to
-negative non-integer a.  DegreeLaw.pmf_array seeds P(D = 1) by quadrature
-and advances every other degree by the recurrence of Gamma(a, x) in a,
-rewritten for the pmf itself.  The tests cross-check it against mpmath and
-against brute-force quadrature of the mixing integral.
+negative non-integer a.  DegreeLaw.pmf_array seeds one degree near
+gamma - beta nu by quadrature and reaches every other degree by the
+recurrence of Gamma(a, x) in a, rewritten for the pmf itself and run in the
+direction in which it does not amplify errors.  The tests cross-check it
+against mpmath and against brute-force quadrature of the mixing integral.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import DomainError
 from .graphon import mean_kernel_value
@@ -49,10 +51,14 @@ def pareto_tail(law: ParetoLaw, y):
 
 
 def _upper_gamma_quad(a: float, x: float) -> float:
-    """Gamma(a, x) = int_x^inf t^(a-1) exp(-t) dt by direct adaptive quadrature."""
+    """x^(1-a) e^x Gamma(a, x) = int_x^inf (t/x)^(a-1) exp(x - t) dt by adaptive quadrature.
+
+    The scaling keeps the value in (0, 1] for a <= 1, whatever the size of x,
+    where Gamma(a, x) itself underflows once x passes ~745.
+    """
 
     def integrand(t):
-        return math.exp((a - 1.0) * math.log(t) - t)
+        return math.exp((a - 1.0) * math.log(t / x) + x - t)
 
     split = max(2.0 * x, x + 10.0)
     head = quad_checked(integrand, x, split, rtol=1e-13)
@@ -71,24 +77,35 @@ class DegreeLaw:
         return ParetoLaw(shape=self.params.gamma, scale=self.params.pareto_scale)
 
     def pmf_array(self, k_max: int) -> np.ndarray:
-        """pmf(0..k_max) by one upward recurrence in pmf space.
+        """pmf(0..k_max) by one recurrence in pmf space, seeded by one quadrature.
 
-        With x = beta*nu, P_1 = gamma x^gamma Gamma(1 - gamma, x) is seeded by
-        quadrature, P_0 = (gamma e^-x - P_1) / gamma, and
-        (k + 1) P_{k+1} = (k - gamma) P_k + gamma x^k e^-x / k!.
+        With x = beta*nu and pi_k = x^k e^-x / k!,
+        (k + 1) P_{k+1} = (k - gamma) P_k + gamma pi_k.  Against the pmf, its
+        homogeneous solution grows by a factor of about (gamma - k - 1) / x
+        per step up, so the pmf is seeded at
+        K = min(k_max, max(0, floor(gamma - x))),
+        P_K = gamma pi_K x^(gamma-K) e^x Gamma(K - gamma, x), and the
+        recurrence runs down to 0 and up to k_max, each in its stable
+        direction.  pi_k is taken in log space, so no term underflows before
+        the pmf does.
         """
         if k_max < 0 or k_max != int(k_max):
             raise DomainError(f"k_max must be a non-negative integer, got {k_max}")
         gamma, x = self.params.gamma, self.params.pareto_scale
-        p1 = gamma * x**gamma * _upper_gamma_quad(1.0 - gamma, x)
-        pois = math.exp(-x)  # x^k e^-x / k!
-        pk = (gamma * pois - p1) / gamma
-        out = [pk]
-        for k in range(int(k_max)):
-            pk = ((k - gamma) * pk + gamma * pois) / (k + 1)
-            pois *= x / (k + 1)
-            out.append(pk)
-        return np.array(out)
+        k_max = int(k_max)
+        seed = min(int(max(0.0, gamma - x)), k_max)
+        ks = np.arange(k_max + 1)
+        pois = np.exp(ks * math.log(x) - x - gammaln(ks + 1.0)).tolist()
+        out = np.empty(k_max + 1)
+        out[seed] = pk = gamma * pois[seed] * _upper_gamma_quad(seed - gamma, x) / x
+        for k in range(seed - 1, -1, -1):
+            pk = (gamma * pois[k] - (k + 1) * pk) / (gamma - k)
+            out[k] = pk
+        pk = out[seed]
+        for k in range(seed, k_max):
+            pk = ((k - gamma) * pk + gamma * pois[k]) / (k + 1)
+            out[k + 1] = pk
+        return out
 
 
 def expected_avg_degree_finite_n(p: EnsembleParams) -> float:

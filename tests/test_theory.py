@@ -82,6 +82,22 @@ class TestDegreePmf:
         for k in [*range(12), 31, 32, 33, 100, 1000]:
             assert pmf[k] == pytest.approx(float(pmf_mpmath(law.mixing, k)), rel=1e-11)
 
+    # x = beta*nu past ~745, where exp(-x) underflows, and gamma far above x,
+    # where the upward recurrence alone amplifies its rounding errors
+    @pytest.mark.parametrize("gamma,nu", [(2.0, 2000.0), (1.5, 1500.0), (3.5, 1000.0),
+                                          (200.0, 0.5), (40.5, 10.0), (200.0, 2000.0)])
+    def test_extreme_scales_match_mpmath(self, gamma, nu):
+        law = DegreeLaw(derive_params(gamma, nu, 10**6))
+        pmf = law.pmf_array(1100)
+        for k in [*range(0, 220, 7), 500, 900, 1000, 1100]:
+            ref = float(pmf_mpmath(law.mixing, k))
+            if ref < 1e-290:  # near or below the float subnormal range
+                assert abs(pmf[k]) < 1e-280
+            else:
+                assert pmf[k] == pytest.approx(ref, rel=1e-11)
+        # a k_max below the seed degree runs the recurrence downward only
+        assert law.pmf_array(5) == pytest.approx(pmf[:6], rel=1e-11, abs=1e-280)
+
     def test_power_tail_ratio(self):
         p = derive_params(2.0, 10.0, 10**4)
         law = DegreeLaw(p)
