@@ -7,13 +7,10 @@ graphon/Gibbs entropy numerics for the hypersoft configuration model.
 from .entropy import (
     AveragedGraphon,
     EntropyReport,
-    MaximalityReport,
     PartitionSpec,
     averaged_graphon,
     gibbs_entropy_bounds,
     graphon_entropy,
-    rescaled_entropy_series,
-    verify_graphon_maximality,
 )
 from .errors import (
     ConvergenceError,
@@ -26,22 +23,15 @@ from .errors import (
     SizeGuardError,
 )
 from .graphon import (
-    KernelKind,
     bernoulli_entropy,
     expected_degree_fn,
-    omega_n,
-    w_classical,
     w_fermi_dirac,
-    w_pareto,
-    w_unit_interval,
 )
 from .params import (
     EnsembleParams,
     Representation,
     convert_coordinate,
     derive_params,
-    mu_n_cdf,
-    mu_n_density,
     mu_n_quantile,
 )
 from .sampler import (
@@ -66,10 +56,8 @@ from .stats import (
 )
 from .theory import (
     DegreeLaw,
-    ParetoLaw,
     expected_avg_degree_finite_n,
     finite_size_degree_tail,
-    pareto_tail,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Graphon entropy, rescaled convergence, Gibbs bounds, and the maximality check.
+"""Graphon entropy and the Gibbs-entropy bounds.
 
 The graphon entropy of an ensemble is
 
@@ -24,9 +24,9 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import DomainError
-from .graphon import (KernelKind, bernoulli_entropy, entropy_of_sum, expectation_of_sum,
-                      kernel, w_fermi_dirac)
-from .params import EnsembleParams, mu_n_quantile
+from .graphon import (bernoulli_entropy, bernoulli_entropy_logit, expectation_of_sum,
+                      w_fermi_dirac)
+from .params import EnsembleParams
 from .quadrature import gauss_legendre_nodes
 
 
@@ -68,35 +68,17 @@ def membership_entropy(p: EnsembleParams, part: PartitionSpec) -> float:
     return float(-np.sum(xlogy(masses, masses)))
 
 
-def graphon_entropy(p: EnsembleParams, kind: KernelKind = KernelKind.FERMI_DIRAC,
-                    rtol: float = 1e-7) -> float:
-    """Graphon entropy sigma = E[H(K(X + Y))], a 1D Gamma(2, gamma) integral."""
-    return expectation_of_sum(p, entropy_of_sum(kind), rtol)
-
-
-def rescaled_entropy_series(gamma: float, nu: float, sizes, kind=KernelKind.FERMI_DIRAC,
-                            rtol: float = 1e-7):
-    """[(n, n * sigma / log n)] over increasing sizes."""
-    from .params import derive_params
-
-    sizes = list(sizes)
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise DomainError("sizes must be strictly increasing")
-    out = []
-    for n in sizes:
-        p = derive_params(gamma, nu, n)
-        sigma = graphon_entropy(p, kind, rtol=rtol)
-        out.append((n, n * sigma / math.log(n)))
-    return out
+def graphon_entropy(p: EnsembleParams, rtol: float = 1e-7) -> float:
+    """Graphon entropy sigma = E[H(W(X + Y))], a 1D Gamma(2, gamma) integral."""
+    return expectation_of_sum(p, bernoulli_entropy_logit, rtol)
 
 
 @dataclass(frozen=True)
 class AveragedGraphon:
-    """Piecewise-constant kernel: the box averages of a kernel over a partition."""
+    """Piecewise-constant kernel: the box averages of W over a partition."""
 
     params: EnsembleParams
     part: PartitionSpec
-    kind: KernelKind
     masses: np.ndarray
     box_values: np.ndarray  # (m_n, m_n), symmetric
 
@@ -107,33 +89,31 @@ class AveragedGraphon:
 
 
 def averaged_graphon(p: EnsembleParams, part: PartitionSpec,
-                     kind: KernelKind = KernelKind.FERMI_DIRAC,
                      gl_order: int = 16) -> AveragedGraphon:
-    """Average the kernel over every partition box against the latent measure.
+    """Average W over every partition box against the latent measure.
 
     Finite intervals use Gauss-Legendre nodes in x weighted by the latent
-    density; the unbounded first interval is mapped through u = CDF(x), where
-    the measure is uniform.  The kernel depends on x + y only, and the finite
+    density, normalised in closed form; the unbounded first interval is
+    mapped through U = CDF(x) / CDF(rho[1]), under which the measure is
+    uniform on (0, 1].  No weight is divided by an interval mass, which
+    underflows to 0 at large gamma.  W depends on x + y only, and the finite
     intervals are translates of one another whose normalized density weights
     agree, so a finite x finite box depends on s + t alone: 2 m_n - 3 such
     values, m_n - 1 for the first row and one corner fill the symmetric matrix.
     """
-    gamma, r_n = p.gamma, p.r_n
+    gamma = p.gamma
     m = part.m_n
     widths = np.diff(part.rho[1:])
     if np.ptp(widths) > 1e-10 * widths.max():
         raise DomainError("averaged_graphon needs finite intervals of equal width")
-    masses = interval_masses(p, part)
-    un, uw = gauss_legendre_nodes(0.0, math.exp(gamma * (part.rho[1] - r_n)), gl_order)
-    x0, w0 = r_n + np.log(un) / gamma, uw / masses[0]
+    un, w0 = gauss_legendre_nodes(0.0, 1.0, gl_order)
+    x0 = part.rho[1] + np.log(un) / gamma
     x1, w1 = gauss_legendre_nodes(part.rho[1], part.rho[2], gl_order)
-    w1 = w1 * gamma * np.exp(gamma * (x1 - r_n)) / masses[1]
+    w1 = w1 * gamma * np.exp(gamma * (x1 - part.rho[2])) / -math.expm1(-gamma * widths[0])
     shifts = widths[0] * np.arange(2 * m - 3)  # finite box (s, t) at shift index s + t - 2
 
-    k = kernel(kind)
-
     def tensor_mean(xa, wa, xb, wb, shift):
-        kmat = k(shift[:, None, None] + xa[None, :, None], xb[None, None, :])
+        kmat = w_fermi_dirac(shift[:, None, None] + xa[None, :, None], xb[None, None, :])
         return np.einsum("i,j,cij->c", wa, wb, kmat)
 
     finite = tensor_mean(x1, w1, x1, w1, shifts)
@@ -144,7 +124,7 @@ def averaged_graphon(p: EnsembleParams, part: PartitionSpec,
     idx = np.arange(m - 1)
     box[1:, 1:] = finite[idx[:, None] + idx[None, :]]
     box = np.clip(box, 0.0, 1.0)
-    return AveragedGraphon(params=p, part=part, kind=kind, masses=masses,
+    return AveragedGraphon(params=p, part=part, masses=interval_masses(p, part),
                            box_values=box)
 
 
@@ -180,8 +160,8 @@ def gibbs_entropy_bounds(p: EnsembleParams, rtol: float = 1e-7,
     """
     if part is None:
         part = PartitionSpec.from_params(p)
-    sigma = graphon_entropy(p, KernelKind.FERMI_DIRAC, rtol=rtol)
-    avg = averaged_graphon(p, part, KernelKind.FERMI_DIRAC)
+    sigma = graphon_entropy(p, rtol=rtol)
+    avg = averaged_graphon(p, part)
     s_m = membership_entropy(p, part)
     pairs = 0.5 * p.n * (p.n - 1)
     lower = pairs * sigma
@@ -194,75 +174,4 @@ def gibbs_entropy_bounds(p: EnsembleParams, rtol: float = 1e-7,
         gibbs_upper=upper,
         partition=part,
         s_m=s_m,
-    )
-
-
-@dataclass(frozen=True)
-class MaximalityReport:
-    """Outcome of the random-perturbation check of graphon-entropy maximality."""
-
-    sigma_grid: float
-    trials: int
-    violations: int
-    max_entropy_gain: float
-    decreases_large: np.ndarray  # per trial, averaged over +/- at eps_large
-    decreases_small: np.ndarray
-    eps_large: float
-    eps_small: float
-
-    @property
-    def ratios(self) -> np.ndarray:
-        return self.decreases_large / self.decreases_small
-
-
-def _grid_sigma(w: np.ndarray) -> float:
-    return float(np.mean(bernoulli_entropy(w)))
-
-
-def verify_graphon_maximality(p: EnsembleParams, trials: int = 100, seed: int = 0,
-                              grid: int = 200, eps_large: float = 1e-2,
-                              eps_small: float = 1e-3) -> MaximalityReport:
-    """Check that constraint-preserving perturbations never increase entropy.
-
-    The kernel is discretized on an equal-mass coordinate grid (uniform
-    weights), where it is the exact entropy maximizer under its own row
-    marginals.  Random symmetric perturbations are double-centered to zero
-    row sums (preserving the expected-degree-function constraint) and scaled
-    into the feasible band; sigma must not increase at eps in
-    {+-eps_large, +-eps_small}, and the decrease must scale as eps^2.
-    """
-    if trials < 1:
-        raise DomainError("need at least one trial")
-    qs = (np.arange(grid) + 0.5) / grid
-    xg = mu_n_quantile(p, qs)
-    w = w_fermi_dirac(xg[:, None], xg[None, :])
-    sigma0 = _grid_sigma(w)
-    headroom = np.minimum(w, 1.0 - w)
-
-    rng = np.random.default_rng(seed)
-    eps_max = max(abs(eps_large), abs(eps_small))
-    viol = 0
-    max_gain = 0.0
-    dec_l = np.empty(trials)
-    dec_s = np.empty(trials)
-    for t in range(trials):
-        m = rng.standard_normal((grid, grid))
-        m = 0.5 * (m + m.T)
-        # double centering: zero row and column sums, symmetry preserved
-        m = m - m.mean(axis=0, keepdims=True) - m.mean(axis=1, keepdims=True) + m.mean()
-        scale = 0.9 * np.min(headroom / (eps_max * np.maximum(np.abs(m), 1e-300)))
-        delta = m * scale
-        gains = {}
-        for eps in (eps_large, -eps_large, eps_small, -eps_small):
-            sig = _grid_sigma(w + eps * delta)
-            gains[eps] = sig - sigma0
-            if sig - sigma0 > 1e-14 * max(1.0, abs(sigma0)):
-                viol += 1
-            max_gain = max(max_gain, sig - sigma0)
-        dec_l[t] = -0.5 * (gains[eps_large] + gains[-eps_large])
-        dec_s[t] = -0.5 * (gains[eps_small] + gains[-eps_small])
-    return MaximalityReport(
-        sigma_grid=sigma0, trials=trials, violations=viol,
-        max_entropy_gain=max_gain, decreases_large=dec_l, decreases_small=dec_s,
-        eps_large=eps_large, eps_small=eps_small,
     )

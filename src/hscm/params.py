@@ -8,8 +8,7 @@ The model lives on three equivalent coordinate systems:
 
 joined by the bijections  u = exp(gamma * (x - r_n))  and  y = sqrt(nu*n) * exp(-x).
 The Pareto map is fixed so that exp(x_i + x_j) == nu*n / (y_i * y_j) holds exactly,
-which makes the connection kernels of all three representations agree pointwise
-(see :mod:`hscm.graphon`).
+so the connection probability of a pair is the same in all three representations.
 """
 
 from __future__ import annotations
@@ -33,26 +32,17 @@ class Representation(enum.Enum):
 
 @dataclass(frozen=True)
 class EnsembleParams:
-    """One ensemble, fully determined by (gamma, nu, n) plus derived constants.
+    """One ensemble, fully determined by (gamma, nu, n).
 
     Attributes:
         gamma: power-law shape, > 1 (degree tail exponent is gamma + 1).
         nu: target expected average degree, > 0.
         n: graph size, >= 1.
-        beta: 1 - 1/gamma, in (0, 1).
-        alpha: gamma + 1, the degree-distribution tail exponent.
-        r_n: right end of the exponential-coordinate support,
-            0.5 * log(n / (beta**2 * nu)).
-        delta: nu / 2, the point-process rate of the gamma == 2 growing chain.
     """
 
     gamma: float
     nu: float
     n: int
-    beta: float
-    alpha: float
-    r_n: float
-    delta: float
 
     def __post_init__(self):
         if not (self.gamma > 1.0) or not math.isfinite(self.gamma):
@@ -61,6 +51,20 @@ class EnsembleParams:
             raise DomainError(f"nu must be finite and > 0, got {self.nu}")
         if self.n < 1 or self.n != int(self.n):
             raise DomainError(f"n must be a positive integer, got {self.n}")
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "nu", float(self.nu))
+        object.__setattr__(self, "n", int(self.n))
+
+    @property
+    def beta(self) -> float:
+        """1 - 1/gamma, in (0, 1)."""
+        return 1.0 - 1.0 / self.gamma
+
+    @property
+    def r_n(self) -> float:
+        """Right end 0.5 * log(n / (beta**2 * nu)) of the exponential-coordinate support."""
+        beta = self.beta
+        return 0.5 * math.log(self.n / (beta * beta * self.nu))
 
     @property
     def pareto_scale(self) -> float:
@@ -69,45 +73,8 @@ class EnsembleParams:
 
 
 def derive_params(gamma: float, nu: float, n: int) -> EnsembleParams:
-    """Validate (gamma, nu, n) and compute all derived constants."""
-    if not math.isfinite(gamma) or gamma <= 1.0:
-        raise DomainError(f"gamma must be finite and > 1, got {gamma}")
-    if not math.isfinite(nu) or nu <= 0.0:
-        raise DomainError(f"nu must be finite and > 0, got {nu}")
-    if n < 1 or n != int(n):
-        raise DomainError(f"n must be a positive integer, got {n}")
-    beta = 1.0 - 1.0 / gamma
-    r_n = 0.5 * math.log(n / (beta * beta * nu))
-    return EnsembleParams(
-        gamma=float(gamma),
-        nu=float(nu),
-        n=int(n),
-        beta=beta,
-        alpha=gamma + 1.0,
-        r_n=r_n,
-        delta=nu / 2.0,
-    )
-
-
-def mu_n_log_density(p: EnsembleParams, x):
-    """log of the latent density gamma * exp(gamma * (x - r_n)) on (-inf, r_n]."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x <= p.r_n, math.log(p.gamma) + p.gamma * (x - p.r_n), -np.inf)
-    return out if out.ndim else float(out)
-
-
-def mu_n_density(p: EnsembleParams, x):
-    """Latent density; zero above r_n, computed in log space to avoid underflow."""
-    logd = mu_n_log_density(p, x)
-    out = np.exp(logd)
-    return out if np.ndim(out) else float(out)
-
-
-def mu_n_cdf(p: EnsembleParams, x):
-    """P(X <= x) = exp(gamma * (x - r_n)) clamped to [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    out = np.exp(np.minimum(p.gamma * (x - p.r_n), 0.0))
-    return out if out.ndim else float(out)
+    """The validated ensemble (gamma, nu, n); its constants are properties."""
+    return EnsembleParams(gamma=gamma, nu=nu, n=n)
 
 
 def mu_n_quantile(p: EnsembleParams, u):

@@ -11,8 +11,7 @@ work per row.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .params import (
 )
 
 NAIVE_SIZE_GUARD = 30_000
+_NAIVE_BLOCK = 1 << 20  # upper-triangle pairs the naive sampler draws at once
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,6 @@ class Graph:
 
     def average_degree(self) -> float:
         return 2.0 * self.num_edges / self.n
-
-    def prefix(self, n_prime: int) -> "Graph":
-        """Induced subgraph on nodes 0..n_prime-1 (the projective truncation)."""
-        if not 0 <= n_prime <= self.n:
-            raise DomainError(f"prefix size {n_prime} outside [0, {self.n}]")
-        keep = (self.edges[:, 0] < n_prime) & (self.edges[:, 1] < n_prime)
-        return Graph(n=n_prime, edges=self.edges[keep])
 
     def first_fault(self):
         """(row, message) of the first edge that breaks the form above, or None."""
@@ -138,7 +131,8 @@ def sample_graph_naive(c: CoordinateSample, seed: int, allow_large: bool = False
     """Reference quadratic sampler: every pair gets its own keyed Bernoulli draw.
 
     The pair (i, j) decision is uniform(seed, TAG_EDGE_NAIVE, i, j) < W(x_i, x_j),
-    so the result is independent of evaluation order.
+    so the result is independent of evaluation order.  Rows are drawn in
+    blocks of at most 2**20 upper-triangle pairs.
     """
     n = c.params.n
     if n > NAIVE_SIZE_GUARD and not allow_large:
@@ -146,25 +140,21 @@ def sample_graph_naive(c: CoordinateSample, seed: int, allow_large: bool = False
             f"naive sampler is quadratic; n={n} exceeds {NAIVE_SIZE_GUARD} "
             "(pass allow_large=True to override)")
     x = c.to_exponential()
+    counts = np.arange(n - 1, 0, -1, dtype=np.int64)  # pairs (i, j > i) of row i
+    ends = np.cumsum(counts)
     rows, cols = [], []
-    if n <= 2500:  # all pairs in one vectorized pass
-        iu, ju = np.triu_indices(n, k=1)
-        w = _logistic_neg(x[iu] + x[ju])
-        u = rng.uniform(seed, rng.TAG_EDGE_NAIVE, iu.astype(np.uint64),
-                        ju.astype(np.uint64))
-        hit = u < w
-        rows.append(iu[hit])
-        cols.append(ju[hit])
-    else:
-        for i in range(n - 1):
-            j = np.arange(i + 1, n, dtype=np.int64)
-            w = _logistic_neg(x[i] + x[i + 1:])
-            u = rng.uniform(seed, rng.TAG_EDGE_NAIVE, np.uint64(i), j.astype(np.uint64))
-            hit = u < w
-            if hit.any():
-                jj = j[hit]
-                rows.append(np.full(jj.size, i, dtype=np.int64))
-                cols.append(jj)
+    r0 = 0
+    while r0 < n - 1:
+        first = int(ends[r0] - counts[r0])
+        r1 = max(r0 + 1, int(np.searchsorted(ends, first + _NAIVE_BLOCK, side="right")))
+        k = np.arange(first, int(ends[r1 - 1]))  # running pair numbers of the block
+        i = np.repeat(np.arange(r0, r1, dtype=np.int64), counts[r0:r1])
+        j = k - (ends[i] - counts[i]) + i + 1
+        u = rng.uniform(seed, rng.TAG_EDGE_NAIVE, i.astype(np.uint64), j.astype(np.uint64))
+        hit = u < _logistic_neg(x[i] + x[j])
+        rows.append(i[hit])
+        cols.append(j[hit])
+        r0 = r1
     return _finish_edges(n, rows, cols)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import gammaln, xlogy, zeta
 
 from .errors import DomainError, EdgeListParseError, InsufficientTailError
-from .graphon import KernelKind, expected_degree_fn
+from .graphon import expected_degree_fn
 from .params import EnsembleParams, mu_n_quantile
 from .quadrature import gauss_legendre_nodes
 from .io import parse_edge_list
@@ -93,7 +93,7 @@ def finite_n_degree_pmf(p: EnsembleParams, k_max: int, nodes: int = 512) -> np.n
     """
     z, wz = gauss_legendre_nodes(0.0, 1.0, nodes)
     w = wz * p.gamma * z ** (p.gamma - 1.0)
-    kappa = expected_degree_fn(p, mu_n_quantile(p, z ** p.gamma), KernelKind.FERMI_DIRAC)
+    kappa = expected_degree_fn(p, mu_n_quantile(p, z ** p.gamma))
     ks = np.arange(k_max + 1, dtype=float)
     # xlogy keeps k * log(kappa) at 0 for k = 0 when kappa = 0 (n = 1)
     log_pois = xlogy(ks[:, None], kappa[None, :]) - kappa[None, :] \

@@ -27,54 +27,32 @@ from .params import EnsembleParams
 from .quadrature import quad_checked
 
 
-@dataclass(frozen=True)
-class ParetoLaw:
-    """Pareto(shape, scale): density shape * scale^shape * y^-(shape+1) on [scale, inf)."""
-
-    shape: float
-    scale: float
-
-    def __post_init__(self):
-        if self.shape <= 1.0 or self.scale <= 0.0:
-            raise DomainError("Pareto mixing law needs shape > 1 and scale > 0")
-
-    @property
-    def mean(self) -> float:
-        return self.shape * self.scale / (self.shape - 1.0)
-
-
-def pareto_tail(law: ParetoLaw, y):
-    """P(Y > y) = (scale / y)^shape for y >= scale, else 1."""
-    y = np.asarray(y, dtype=float)
-    out = np.where(y >= law.scale, np.power(law.scale / np.maximum(y, law.scale), law.shape), 1.0)
-    return out if out.ndim else float(out)
-
-
 def _upper_gamma_quad(a: float, x: float) -> float:
-    """x^(1-a) e^x Gamma(a, x) = int_x^inf (t/x)^(a-1) exp(x - t) dt by adaptive quadrature.
+    """x^(1-a) e^x Gamma(a, x) for a <= 1 by adaptive quadrature.
 
-    The scaling keeps the value in (0, 1] for a <= 1, whatever the size of x,
-    where Gamma(a, x) itself underflows once x passes ~745.
+    The substitution t = x e^u turns int_x^inf (t/x)^(a-1) exp(x - t) dt into
+    x int_0^inf exp(a u - x expm1(u)) du, whose integrand has no peak that
+    narrows as x or a falls, as the one at t = x does.  The value
+    lies in (0, 1] whatever the size of x, where Gamma(a, x) itself
+    underflows once x passes ~745.  The integral is split at
+    max(1, log1p(1/x)), past which x expm1(u) dominates; expm1's argument is
+    capped at 700, where the integrand has long underflowed to 0.
     """
 
-    def integrand(t):
-        return math.exp((a - 1.0) * math.log(t / x) + x - t)
+    def integrand(u):
+        return math.exp(a * u - x * math.expm1(min(u, 700.0)))
 
-    split = max(2.0 * x, x + 10.0)
-    head = quad_checked(integrand, x, split, rtol=1e-13)
+    split = max(1.0, math.log1p(1.0 / x))
+    head = quad_checked(integrand, 0.0, split, rtol=1e-13)
     tail = quad_checked(integrand, split, np.inf, rtol=1e-13)
-    return head + tail
+    return x * (head + tail)
 
 
 @dataclass(frozen=True)
 class DegreeLaw:
-    """Limiting degree pmf of an ensemble, with its Pareto mixing law."""
+    """Limiting degree pmf of an ensemble."""
 
     params: EnsembleParams
-
-    @property
-    def mixing(self) -> ParetoLaw:
-        return ParetoLaw(shape=self.params.gamma, scale=self.params.pareto_scale)
 
     def pmf_array(self, k_max: int) -> np.ndarray:
         """pmf(0..k_max) by one recurrence in pmf space, seeded by one quadrature.
@@ -125,9 +103,10 @@ def finite_size_epsilon(p: EnsembleParams) -> float:
 def finite_size_degree_tail(p: EnsembleParams, t):
     """Tail P(expected degree of a random node > t) at finite n.
 
-    Piecewise: 1 below beta*nu*(1-eps_n), the Pareto tail damped by
-    (1-eps_n)^gamma in the middle, and 0 above sqrt(nu n)*(1-eps_n), with
-    eps_n = exp(-(gamma-1) r_n) - exp(-2 gamma r_n).
+    Piecewise: 1 below lo = beta*nu*(1-eps_n), the Pareto tail (lo/t)^gamma
+    in the middle, and 0 above sqrt(nu n)*(1-eps_n), with
+    eps_n = exp(-(gamma-1) r_n) - exp(-2 gamma r_n).  The base lo/t is
+    clipped to 1 before the power, so no branch overflows at large gamma.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0.0):
@@ -135,6 +114,5 @@ def finite_size_degree_tail(p: EnsembleParams, t):
     eps = finite_size_epsilon(p)
     lo = p.pareto_scale * (1.0 - eps)
     hi = math.sqrt(p.nu * p.n) * (1.0 - eps)
-    mid = (p.pareto_scale / t_arr) ** p.gamma * (1.0 - eps) ** p.gamma
-    out = np.where(t_arr < lo, 1.0, np.where(t_arr > hi, 0.0, mid))
+    out = np.where(t_arr > hi, 0.0, np.minimum(lo / t_arr, 1.0) ** p.gamma)
     return out if out.ndim else float(out)

@@ -189,6 +189,39 @@ class TestEntropyCmd:
                     "--out", tmp_path)
         assert exc.value.code == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_large_gamma_upper_bound_is_finite(self, tmp_path):
+        # the first two interval masses underflow to 0 at gamma = 200; the
+        # averaged kernel's weights must not be divided by them
+        assert run_cli("entropy", "--gamma", 200, "--nu", 10,
+                       "--sizes", "1000,100000", "--out", tmp_path) == 0
+        with open(tmp_path / "entropy.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        upper = [float(r[4]) for r in rows]
+        assert upper == pytest.approx([8.03307364, 8.86765935], abs=2e-8)
+        assert all(float(r[3]) <= float(r[4]) for r in rows)
+
+
+class TestTheoryCmd:
+    # x = beta*nu near 0: the seed quadrature's integrand used to peak
+    # sharply at t = x and miss its tolerance (exit 3)
+    @pytest.mark.parametrize("gamma,nu", [(1.000001, 10), (2, 1e-9)])
+    def test_small_pareto_scale_exit_0(self, tmp_path, gamma, nu):
+        assert run_cli("theory", "--gamma", gamma, "--nu", nu, "--n", 1000,
+                       "--out", tmp_path) == 0
+        with open(tmp_path / "theory_pmf.csv") as fh:
+            pmf = [float(r[1]) for r in list(csv.reader(fh))[1:]]
+        assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in pmf)
+        assert sum(pmf) <= 1.0 + 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_gamma_tail_curve_does_not_overflow(self, tmp_path):
+        assert run_cli("theory", "--gamma", 1e6, "--nu", 10, "--n", 1000,
+                       "--out", tmp_path) == 0
+        with open(tmp_path / "tail_curve.csv") as fh:
+            tail = [float(r[1]) for r in list(csv.reader(fh))[1:]]
+        assert all(0.0 <= v <= 1.0 for v in tail)
+
 
 class TestScmIngestAndErrors:
     def test_scm_solve_from_file(self, tmp_path):

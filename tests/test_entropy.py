@@ -7,13 +7,16 @@ from oracles import (
     averaged_box_oracle,
     box_average_oracle,
     bracket_bounds,
+    classical_entropy_of_sum,
     deviation_log_slope,
     negative_region_entropy,
     nested_expectation,
     quantile,
     refine_doubled,
+    rescaled_entropy_series,
     sigma_mpmath,
     sigma_oracle,
+    verify_graphon_maximality,
 )
 from hscm.entropy import (
     PartitionSpec,
@@ -22,11 +25,9 @@ from hscm.entropy import (
     graphon_entropy,
     interval_masses,
     membership_entropy,
-    rescaled_entropy_series,
-    verify_graphon_maximality,
 )
 from hscm.errors import DomainError
-from hscm.graphon import KernelKind, bernoulli_entropy, w_fermi_dirac
+from hscm.graphon import bernoulli_entropy, expectation_of_sum, w_fermi_dirac
 from hscm.params import derive_params, mu_n_quantile
 
 G2 = [derive_params(2.0, 10.0, n) for n in (10**3, 10**4, 10**5, 10**6)]
@@ -64,7 +65,7 @@ class TestGraphonEntropy:
 
     def test_classical_kernel_entropy(self):
         for p in (G2[0], G2[2]):
-            got = graphon_entropy(p, KernelKind.CLASSICAL_LIMIT)
+            got = expectation_of_sum(p, classical_entropy_of_sum, 1e-7)
             assert got == pytest.approx(sigma_oracle(p, "classical"), rel=1e-7)
 
     def test_kernel_gap_shrinks_at_prop_rate(self):
@@ -76,7 +77,7 @@ class TestGraphonEntropy:
         rates = []
         for p in G2:
             gaps.append(abs(graphon_entropy(p) -
-                            graphon_entropy(p, KernelKind.CLASSICAL_LIMIT)))
+                            expectation_of_sum(p, classical_entropy_of_sum, 1e-7)))
             rates.append(math.log(p.n) ** 3 / p.n**2)
         const = 2.5 * gaps[0] / rates[0]
         for gap, rate in zip(gaps, rates):
@@ -177,10 +178,9 @@ class TestAveragedGraphon:
     def test_box_sums_match_all_box_oracle(self, gamma, nu, n):
         p = derive_params(gamma, nu, n)
         part = PartitionSpec.from_params(p)
-        for kind in KernelKind:
-            got = averaged_graphon(p, part, kind).box_values
-            ref = averaged_box_oracle(p, part, kind)
-            assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+        got = averaged_graphon(p, part).box_values
+        ref = averaged_box_oracle(p, part)
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_unequal_finite_widths_rejected(self):
         p = derive_params(2.0, 10.0, 10**3)

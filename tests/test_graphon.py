@@ -6,23 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from oracles import kappa_mpmath
-from hscm import rng
-from hscm.errors import DomainError
-from hscm.graphon import (
-    KernelKind,
-    bernoulli_entropy,
-    bernoulli_entropy_logit,
+from oracles import (
     classical_entropy_of_sum,
-    expected_degree_fn,
-    mean_kernel_value,
+    expected_degree_classical,
+    kappa_mpmath,
+    mean_classical_kernel,
+    mu_n_density,
     omega_n,
     w_classical,
-    w_fermi_dirac,
     w_pareto,
     w_unit_interval,
 )
-from hscm.params import derive_params, mu_n_density, mu_n_quantile
+from hscm import rng
+from hscm.errors import DomainError
+from hscm.graphon import (
+    bernoulli_entropy,
+    bernoulli_entropy_logit,
+    expected_degree_fn,
+    mean_kernel_value,
+    w_fermi_dirac,
+)
+from hscm.params import derive_params, mu_n_quantile
 
 finite_coord = st.floats(-600.0, 600.0)
 
@@ -155,16 +159,16 @@ class TestExpectedDegree:
 
     def test_classical_closed_form(self):
         p = self.p
-        assert expected_degree_fn(p, 0.0, KernelKind.CLASSICAL_LIMIT) == pytest.approx(
+        assert expected_degree_classical(p, 0.0) == pytest.approx(
             p.n * omega_n(p), rel=1e-14)
-        assert expected_degree_fn(p, 0.0, KernelKind.CLASSICAL_LIMIT) == pytest.approx(
+        assert expected_degree_classical(p, 0.0) == pytest.approx(
             311.2277660168379, rel=1e-12)
-        assert expected_degree_fn(p, -1.0, KernelKind.CLASSICAL_LIMIT) == 0.0
+        assert expected_degree_classical(p, -1.0) == 0.0
 
     def test_fermi_dirac_agrees_with_classical_at_boundary(self):
         p = self.p
-        fd = expected_degree_fn(p, p.r_n, KernelKind.FERMI_DIRAC)
-        cl = expected_degree_fn(p, p.r_n, KernelKind.CLASSICAL_LIMIT)
+        fd = expected_degree_fn(p, p.r_n)
+        cl = expected_degree_classical(p, p.r_n)
         assert abs(fd - cl) / cl < 0.05
 
     def test_fermi_dirac_quadrature_against_brute_force(self):
@@ -173,14 +177,14 @@ class TestExpectedDegree:
             brute, _ = integrate.quad(
                 lambda y: w_fermi_dirac(x, y) * mu_n_density(p, y),
                 -np.inf, p.r_n, epsabs=1e-14, epsrel=1e-11, limit=300)
-            assert expected_degree_fn(p, x, KernelKind.FERMI_DIRAC) == pytest.approx(
+            assert expected_degree_fn(p, x) == pytest.approx(
                 (p.n - 1) * brute, rel=1e-8)
 
     def test_domain_error_above_support(self):
         with pytest.raises(DomainError):
-            expected_degree_fn(self.p, self.p.r_n + 1.0, KernelKind.FERMI_DIRAC)
+            expected_degree_fn(self.p, self.p.r_n + 1.0)
         with pytest.raises(DomainError):
-            expected_degree_fn(self.p, [0.0, self.p.r_n + 1.0], KernelKind.FERMI_DIRAC)
+            expected_degree_fn(self.p, [0.0, self.p.r_n + 1.0])
 
     # adaptive quadrature of kappa_n misses its tolerance at these parameters
     @pytest.mark.parametrize("gamma,nu,n", [(3.5, 2.0, 10**4), (3.5, 2.0, 10**6),
@@ -189,7 +193,7 @@ class TestExpectedDegree:
         p = derive_params(gamma, nu, n)
         u = np.concatenate([np.geomspace(1e-12, 1.0, 13), (np.arange(32) + 0.5) / 32])
         x = mu_n_quantile(p, u)
-        got = expected_degree_fn(p, x, KernelKind.FERMI_DIRAC)
+        got = expected_degree_fn(p, x)
         for xi, gi in zip(x, got):
             ref = kappa_mpmath(p, xi)
             assert abs(gi - ref) <= 1e-12 * abs(ref)
@@ -197,10 +201,10 @@ class TestExpectedDegree:
     def test_vectorised_matches_scalar(self):
         p = self.p
         x = np.array([-30.0, -2.0, 0.0, 1.5, p.r_n])
-        for kind in KernelKind:
-            vec = expected_degree_fn(p, x, kind)
+        for fn in (expected_degree_fn, expected_degree_classical):
+            vec = fn(p, x)
             assert vec.shape == x.shape
-            assert list(vec) == [expected_degree_fn(p, xi, kind) for xi in x]
+            assert list(vec) == [fn(p, xi) for xi in x]
 
 
 class TestClassicalApproximationRate:
@@ -222,5 +226,4 @@ class TestClassicalApproximationRate:
     def test_mean_kernel_value_decreases_to_classical(self):
         for n in (10**3, 10**5):
             p = derive_params(2.0, 10.0, n)
-            assert mean_kernel_value(p, KernelKind.FERMI_DIRAC) < mean_kernel_value(
-                p, KernelKind.CLASSICAL_LIMIT)
+            assert mean_kernel_value(p) < mean_classical_kernel(p)

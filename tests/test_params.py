@@ -6,17 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats as sps
 
-from oracles import negative_mass
+from oracles import mu_n_cdf, mu_n_density, negative_mass, w_pareto, w_unit_interval
 from hscm import rng
 from hscm.errors import DomainError
-from hscm.graphon import w_fermi_dirac, w_pareto, w_unit_interval
+from hscm.graphon import w_fermi_dirac
 from hscm.params import (
     EnsembleParams,
     Representation,
     convert_coordinate,
     derive_params,
-    mu_n_cdf,
-    mu_n_density,
     mu_n_quantile,
 )
 
@@ -29,8 +27,7 @@ class TestDeriveParams:
     def test_reference_case(self):
         p = derive_params(2.0, 10.0, 10**4)
         assert p.beta == 0.5
-        assert p.alpha == 3.0
-        assert p.delta == 5.0
+        assert p.gamma + 1 == 3.0
         # direct evaluation of the boundary formula: 0.5 * log(n / (beta^2 nu))
         assert p.r_n == pytest.approx(0.5 * math.log(4000.0), abs=1e-15)
         assert p.r_n == pytest.approx(4.147024820051014, abs=1e-12)
@@ -55,7 +52,7 @@ class TestDeriveParams:
     def test_boundary_invariant(self, gamma, nu, n):
         p = derive_params(gamma, nu, n)
         assert 0.0 < p.beta < 1.0
-        assert p.alpha > 2.0
+        assert p.gamma + 1 > 2.0
         assert math.exp(2.0 * p.r_n) * p.beta**2 * p.nu == pytest.approx(n, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [(1.0, 10.0, 10), (0.5, 10.0, 10),
@@ -150,5 +147,4 @@ class TestConversions:
 
     def test_frozen_construction_validates(self):
         with pytest.raises(DomainError):
-            EnsembleParams(gamma=0.9, nu=1.0, n=10, beta=-0.1, alpha=1.9,
-                           r_n=0.0, delta=0.5)
+            EnsembleParams(gamma=0.9, nu=1.0, n=10)

@@ -5,9 +5,10 @@ import pytest
 from scipy import stats as sps
 
 from conftest import pooled_histogram, replica_graph
-from hscm import rng
+from oracles import omega_n, prefix
+from hscm import rng, sampler
 from hscm.errors import DomainError, SizeGuardError
-from hscm.graphon import KernelKind, expected_degree_fn, w_fermi_dirac
+from hscm.graphon import expected_degree_fn
 from hscm.params import Representation, derive_params
 from hscm.sampler import (
     CoordinateSample,
@@ -38,7 +39,7 @@ class TestGraphType:
     def test_degrees_and_prefix(self):
         g = Graph(n=4, edges=np.array([[0, 1], [0, 3], [2, 3]]))
         assert list(g.degrees()) == [2, 1, 1, 2]
-        sub = g.prefix(2)
+        sub = prefix(g, 2)
         assert sub.n == 2 and list(map(tuple, sub.edges)) == [(0, 1)]
 
 
@@ -69,8 +70,6 @@ class TestCoordinates:
     def test_mean_approx_expected_degree_matches_nu(self):
         # sample mean of the closed-form expected degree estimates n*omega^2,
         # which itself sits within (1 - e^-(gamma-1)r)^2 of nu
-        from hscm.graphon import omega_n
-
         p = derive_params(2.0, 10.0, 10**5)
         x = sample_coordinates(p, 17).coords
         kap = np.where(x >= 0, p.n * omega_n(p) * np.exp(-np.clip(x, 0, None)), 0.0)
@@ -106,6 +105,17 @@ class TestNaiveSampler:
         ms = [replica_graph(p, 515, r, "naive").num_edges for r in range(200)]
         se = np.std(ms, ddof=1) / math.sqrt(len(ms))
         assert abs(np.mean(ms) - target) <= 3.0 * se
+
+    def test_row_blocks_give_the_same_edges(self, monkeypatch):
+        # n above the size the pairs once went through in one vectorised pass
+        p = derive_params(2.0, 10.0, 2600)
+        c = sample_coordinates(p, 12)
+        monkeypatch.setattr(sampler, "_NAIVE_BLOCK", p.n * p.n)  # every pair at once
+        one_block = sample_graph_naive(c, 13)
+        assert one_block.num_edges > 0
+        for block in (1, 3 * p.n):  # one row, then a few rows, per block
+            monkeypatch.setattr(sampler, "_NAIVE_BLOCK", block)
+            assert np.array_equal(sample_graph_naive(c, 13).edges, one_block.edges)
 
     def test_size_guard(self):
         p = derive_params(2.0, 10.0, 40000)
@@ -212,7 +222,7 @@ class TestFastSampler:
         for b in range(5):
             # E[kappa_n(X) | X in bucket] by quadrature over the u-interval
             un, uw = gauss_legendre_nodes(q_edges[b], q_edges[b + 1], 24)
-            kappa = [expected_degree_fn(p, mu_n_quantile(p, u), KernelKind.FERMI_DIRAC)
+            kappa = [expected_degree_fn(p, mu_n_quantile(p, u))
                      for u in un]
             target = float(np.dot(uw, kappa)) / (q_edges[b + 1] - q_edges[b])
             means = bucket_means[~np.isnan(bucket_means[:, b]), b]
@@ -242,7 +252,7 @@ class TestGrowingSampler:
         p1000 = derive_params(2.0, 10.0, 1000)
         g_big, c_big = sample_graph_growing(p2000, 4242, 2000)
         g_small, c_small = sample_graph_growing(p1000, 4242, 1000)
-        assert g_big.prefix(1000).edges.tobytes() == g_small.edges.tobytes()
+        assert prefix(g_big, 1000).edges.tobytes() == g_small.edges.tobytes()
         assert c_big.coords[:1000].tobytes() == c_small.coords.tobytes()
 
     def test_incremental_equals_one_shot(self):

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import zeta
 
 from conftest import pooled_histogram
-from oracles import truncation_k
+from oracles import mixing, truncation_k
 from hscm.errors import DomainError, EdgeListParseError, InsufficientTailError
 from hscm.params import derive_params
 from hscm.sampler import Graph
@@ -118,12 +118,12 @@ class TestTailExponent:
         # draws from the model's own limiting pmf recover alpha = gamma + 1
         p = derive_params(2.0, 10.0, 10**5)
         law = DegreeLaw(p)
-        K = truncation_k(law.mixing, 1e-9)
+        K = truncation_k(mixing(law), 1e-9)
         pmf = law.pmf_array(K)
         rng = np.random.default_rng(7)
         sample = rng.choice(np.arange(K + 1), p=pmf / pmf.sum(), size=400000)
         h = DegreeHistogram(counts=np.bincount(sample), n=sample.size, n_graphs=1)
-        assert abs(tail_exponent(h) - p.alpha) <= 0.15
+        assert abs(tail_exponent(h) - (p.gamma + 1)) <= 0.15
 
     def test_fixed_k_min(self):
         h = self._zeta_sample_hist(2.5, 100000, 3)

@@ -1,12 +1,17 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from oracles import (
+    ParetoLaw,
     expected_avg_degree_classical,
     mean_degree_oracle,
     mixed_poisson_pmf_oracle,
+    mixing,
+    pareto_tail,
     pmf_mpmath,
     tail_mass_bound,
     truncation_k,
@@ -15,11 +20,10 @@ from hscm.errors import DomainError
 from hscm.params import derive_params
 from hscm.theory import (
     DegreeLaw,
-    ParetoLaw,
+    _upper_gamma_quad,
     expected_avg_degree_finite_n,
     finite_size_degree_tail,
     finite_size_epsilon,
-    pareto_tail,
 )
 
 
@@ -70,7 +74,7 @@ class TestDegreePmf:
         law = DegreeLaw(derive_params(gamma, nu, 10**4))
         closed = law.pmf_array(100)
         for k in (0, 1, 2, 3, 7, 19, 31, 32, 33, 64, 100):
-            brute = mixed_poisson_pmf_oracle(law.mixing, k)
+            brute = mixed_poisson_pmf_oracle(mixing(law), k)
             assert closed[k] == pytest.approx(brute, rel=1e-8)
 
     @pytest.mark.parametrize("gamma", [1.05, 1.1, 1.5, 2.0, 2.0001, 3.5])
@@ -80,7 +84,7 @@ class TestDegreePmf:
         law = DegreeLaw(derive_params(gamma, nu, 10**4))
         pmf = law.pmf_array(1000)
         for k in [*range(12), 31, 32, 33, 100, 1000]:
-            assert pmf[k] == pytest.approx(float(pmf_mpmath(law.mixing, k)), rel=1e-11)
+            assert pmf[k] == pytest.approx(float(pmf_mpmath(mixing(law), k)), rel=1e-11)
 
     # x = beta*nu past ~745, where exp(-x) underflows, and gamma far above x,
     # where the upward recurrence alone amplifies its rounding errors
@@ -90,7 +94,7 @@ class TestDegreePmf:
         law = DegreeLaw(derive_params(gamma, nu, 10**6))
         pmf = law.pmf_array(1100)
         for k in [*range(0, 220, 7), 500, 900, 1000, 1100]:
-            ref = float(pmf_mpmath(law.mixing, k))
+            ref = float(pmf_mpmath(mixing(law), k))
             if ref < 1e-290:  # near or below the float subnormal range
                 assert abs(pmf[k]) < 1e-280
             else:
@@ -98,24 +102,41 @@ class TestDegreePmf:
         # a k_max below the seed degree runs the recurrence downward only
         assert law.pmf_array(5) == pytest.approx(pmf[:6], rel=1e-11, abs=1e-280)
 
+    # pmf(0) at gamma = 200, x = beta*nu ~ 1e-7 used to come out as 0, and
+    # pmf(3) at gamma = 50, nu = 1e-3 raised QuadratureError
+    @pytest.mark.parametrize("gamma,nu,k_max", [(200.0, 1e-7, 0), (50.0, 1e-3, 3)])
+    def test_tiny_pareto_scale_matches_mpmath(self, gamma, nu, k_max):
+        law = DegreeLaw(derive_params(gamma, nu, 1000))
+        pmf = law.pmf_array(k_max)
+        assert np.all(np.isfinite(pmf))
+        for k in range(k_max + 1):
+            assert pmf[k] == pytest.approx(float(pmf_mpmath(mixing(law), k)), rel=1e-11)
+
+    @pytest.mark.parametrize("a", [-199.5, -50.5, -1.5, -1e-9])
+    @pytest.mark.parametrize("x", [1e-12, 1e-5, 1.0, 1e3])
+    def test_seed_quadrature_matches_mpmath(self, a, x):
+        with mp.workdps(40):
+            ref = mp.power(x, 1 - a) * mp.exp(x) * mp.gammainc(a, x)
+        assert _upper_gamma_quad(a, x) == pytest.approx(float(ref), rel=1e-12)
+
     def test_power_tail_ratio(self):
         p = derive_params(2.0, 10.0, 10**4)
         law = DegreeLaw(p)
         k = 1000
-        asymptote = p.gamma * p.pareto_scale**p.gamma * float(k) ** (-p.alpha)
+        asymptote = p.gamma * p.pareto_scale**p.gamma * float(k) ** (-(p.gamma + 1))
         assert law.pmf_array(k)[k] / asymptote == pytest.approx(1.0, abs=0.02)
 
     def test_normalization_at_truncation(self):
         law = DegreeLaw(derive_params(2.0, 10.0, 10**4))
-        K = truncation_k(law.mixing, 1e-7, moment=0)
-        assert tail_mass_bound(law.mixing, K) < 1e-7
+        K = truncation_k(mixing(law), 1e-7, moment=0)
+        assert tail_mass_bound(mixing(law), K) < 1e-7
         total = law.pmf_array(K).sum()
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_mean_is_nu(self):
         # truncate where the tail-mean bound is 5x below the assertion band
         law = DegreeLaw(derive_params(2.0, 10.0, 10**4))
-        K = truncation_k(law.mixing, 2e-5, moment=1)
+        K = truncation_k(mixing(law), 2e-5, moment=1)
         pmf = law.pmf_array(K)
         mean = float(np.arange(K + 1) @ pmf)
         assert mean == pytest.approx(10.0, abs=1e-4)
@@ -132,7 +153,7 @@ class TestDegreePmf:
             with pytest.raises(DomainError):
                 law.pmf_array(bad)
         with pytest.raises(DomainError):
-            mixed_poisson_pmf_oracle(law.mixing, -2)
+            mixed_poisson_pmf_oracle(mixing(law), -2)
 
 
 class TestExpectedAverageDegree:
@@ -206,9 +227,16 @@ class TestFiniteSizeTail:
         with pytest.raises(DomainError):
             finite_size_degree_tail(p, 0.0)
 
-    def test_converges_to_pareto_tail(self):
-        from hscm.theory import ParetoLaw
+    def test_huge_gamma_has_no_overflow(self):
+        p = derive_params(1e6, 10.0, 1000)
+        ts = np.geomspace(p.pareto_scale / 4.0, 1.2 * math.sqrt(p.nu * p.n), 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tail = finite_size_degree_tail(p, ts)
+        assert np.all((tail >= 0.0) & (tail <= 1.0))
+        assert tail[0] == 1.0 and tail[-1] == 0.0
 
+    def test_converges_to_pareto_tail(self):
         ts = np.geomspace(1.0, 400.0, 200)
         for n in (10**3, 10**5, 10**7):
             p = derive_params(2.0, 10.0, n)
