@@ -29,13 +29,10 @@ from .graphon import (
 )
 from .params import (
     EnsembleParams,
-    Representation,
-    convert_coordinate,
     derive_params,
     mu_n_quantile,
 )
 from .sampler import (
-    CoordinateSample,
     Graph,
     GrowthState,
     sample_coordinates,
@@ -51,7 +48,6 @@ from .stats import (
     degree_histogram,
     finite_n_degree_pmf,
     ingest_edge_list,
-    tail_exponent,
     tail_exponent_fit,
 )
 from .theory import (

@@ -26,11 +26,11 @@ from .errors import (
     QuadratureError,
     SizeGuardError,
 )
-from .params import Representation, derive_params
+from .params import derive_params
 from .sampler import sample_coordinates, sample_graph_fast, sample_graph_growing, \
     sample_graph_naive
 from .scm import hscm_to_scm, solve_scm
-from .stats import compare_to_theory, degree_histogram, ingest_edge_list
+from .stats import compare_to_theory, degree_histogram, ingest_edge_list, tail_exponent_fit
 from .theory import DegreeLaw, expected_avg_degree_finite_n, finite_size_degree_tail
 
 
@@ -40,14 +40,14 @@ def _replica_seeds(seed: int, index: int):
 
 
 def _generate_one(args_tuple):
-    gamma, nu, n, seed, index, variant, rep_name = args_tuple
+    gamma, nu, n, seed, index, variant = args_tuple
     p = derive_params(gamma, nu, n)
     coord_seed, edge_seed = _replica_seeds(seed, index)
     t0 = time.perf_counter()
     if variant == "growing":
-        graph, _ = sample_graph_growing(p, coord_seed, n)
+        graph, _ = sample_graph_growing(p, coord_seed)
     else:
-        coords = sample_coordinates(p, coord_seed, Representation(rep_name))
+        coords = sample_coordinates(p, coord_seed)
         if variant == "naive":
             graph = sample_graph_naive(coords, edge_seed)
         else:
@@ -56,7 +56,7 @@ def _generate_one(args_tuple):
 
 
 def _generate_graphs(cfg, seed):
-    jobs = [(cfg.gamma, cfg.nu, cfg.n, seed, i, cfg.sampler, cfg.rep)
+    jobs = [(cfg.gamma, cfg.nu, cfg.n, seed, i, cfg.sampler)
             for i in range(cfg.replicas)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -86,7 +86,7 @@ def cmd_generate(cfg) -> int:
         "config": {
             "gamma": cfg.gamma, "nu": cfg.nu, "n": cfg.n,
             "replicas": cfg.replicas, "seed": cfg.seed,
-            "sampler": cfg.sampler, "representation": cfg.rep,
+            "sampler": cfg.sampler,
         },
         "replicas": replicas,
     })
@@ -122,7 +122,7 @@ def cmd_degrees(cfg) -> int:
         "command": "degrees",
         "config": {"gamma": cfg.gamma, "nu": cfg.nu, "n": cfg.n,
                    "replicas": cfg.replicas, "seed": cfg.seed,
-                   "sampler": cfg.sampler, "representation": cfg.rep,
+                   "sampler": cfg.sampler,
                    "k_max": cfg.k_max, "input_dir": cfg.input_dir},
         "avg_degree_empirical": report.avg_degree_empirical,
         "avg_degree_empirical_se": report.avg_degree_empirical_se,
@@ -207,8 +207,6 @@ def cmd_ingest(cfg) -> int:
             for k in range(hist.counts.size)]
     hio.write_csv(os.path.join(cfg.out, "histogram.csv"), ["k", "count", "pmf"], rows)
     try:
-        from .stats import tail_exponent_fit
-
         fit = tail_exponent_fit(hist)
         tail = {"alpha": fit.alpha, "k_min": fit.k_min, "ks_distance": fit.ks_distance}
     except InsufficientTailError as exc:
@@ -251,9 +249,6 @@ def _add_sampling_args(sp):
     sp.add_argument("--seed", type=int, required=True,
                     help="master seed (replica seeds are derived from it)")
     sp.add_argument("--sampler", choices=["fast", "naive", "growing"], default="fast")
-    sp.add_argument("--rep", choices=[r.value for r in Representation],
-                    default=Representation.EXPONENTIAL.value,
-                    help="coordinate representation to sample in")
     sp.add_argument("--jobs", type=_at_least(1), default=1, help="parallel replica workers")
 
 

@@ -18,13 +18,7 @@ import numpy as np
 from . import rng
 from .errors import DomainError, SizeGuardError
 from .graphon import _logistic_neg
-from .params import (
-    EnsembleParams,
-    Representation,
-    convert_coordinate,
-    derive_params,
-    mu_n_quantile,
-)
+from .params import EnsembleParams, derive_params, mu_n_quantile
 
 NAIVE_SIZE_GUARD = 30_000
 _NAIVE_BLOCK = 1 << 20  # upper-triangle pairs the naive sampler draws at once
@@ -69,36 +63,10 @@ class Graph:
         return row, f"edge {e[row, 0]} {e[row, 1]} {reason}"
 
 
-@dataclass(frozen=True)
-class CoordinateSample:
-    """Latent node coordinates in a declared representation."""
-
-    params: EnsembleParams
-    rep: Representation
-    coords: np.ndarray
-    seed: int
-
-    def to_exponential(self) -> np.ndarray:
-        if self.rep is Representation.EXPONENTIAL:
-            return self.coords
-        return convert_coordinate(self.params, self.coords, self.rep,
-                                  Representation.EXPONENTIAL)
-
-
-def sample_coordinates(p: EnsembleParams, seed: int,
-                       rep: Representation = Representation.EXPONENTIAL) -> CoordinateSample:
-    """n i.i.d. latent coordinates; deterministic given (p, seed, rep)."""
+def sample_coordinates(p: EnsembleParams, seed: int) -> np.ndarray:
+    """n i.i.d. latent coordinates x <= r_n as a float64 array; deterministic given (p, seed)."""
     u = 1.0 - rng.uniform(seed, rng.TAG_COORD, np.arange(p.n, dtype=np.uint64))
-    if rep is Representation.EXPONENTIAL:
-        coords = mu_n_quantile(p, u)
-    elif rep is Representation.UNIT_INTERVAL:
-        coords = u
-    elif rep is Representation.PARETO:
-        coords = p.pareto_scale * u ** (-1.0 / p.gamma)
-    else:  # pragma: no cover
-        raise DomainError(f"unknown representation {rep}")
-    return CoordinateSample(params=p, rep=rep, coords=np.asarray(coords, dtype=float),
-                            seed=int(seed))
+    return mu_n_quantile(p, u)
 
 
 def edge_keys(n: int, a, b) -> np.ndarray:
@@ -127,19 +95,17 @@ def _finish_edges(n: int, rows: list, cols: list) -> Graph:
     return Graph(n=n, edges=edges_from_keys(n, keys))
 
 
-def sample_graph_naive(c: CoordinateSample, seed: int, allow_large: bool = False) -> Graph:
-    """Reference quadratic sampler: every pair gets its own keyed Bernoulli draw.
+def sample_graph_naive(x: np.ndarray, seed: int) -> Graph:
+    """Reference quadratic sampler on coordinates x: every pair gets its own keyed draw.
 
     The pair (i, j) decision is uniform(seed, TAG_EDGE_NAIVE, i, j) < W(x_i, x_j),
     so the result is independent of evaluation order.  Rows are drawn in
     blocks of at most 2**20 upper-triangle pairs.
     """
-    n = c.params.n
-    if n > NAIVE_SIZE_GUARD and not allow_large:
-        raise SizeGuardError(
-            f"naive sampler is quadratic; n={n} exceeds {NAIVE_SIZE_GUARD} "
-            "(pass allow_large=True to override)")
-    x = c.to_exponential()
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n > NAIVE_SIZE_GUARD:
+        raise SizeGuardError(f"naive sampler is quadratic; n={n} exceeds {NAIVE_SIZE_GUARD}")
     counts = np.arange(n - 1, 0, -1, dtype=np.int64)  # pairs (i, j > i) of row i
     ends = np.cumsum(counts)
     rows, cols = [], []
@@ -223,7 +189,7 @@ def _run_skip_rows(xs: np.ndarray, row_coord: np.ndarray, row_ids: np.ndarray,
     return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
-def sample_graph_fast(c: CoordinateSample, seed: int) -> Graph:
+def sample_graph_fast(x: np.ndarray, seed: int) -> Graph:
     """Equilibrium sampler with expected O(n + m) work; same law as the naive one.
 
     Nodes are processed in ascending coordinate order (descending weight
@@ -231,8 +197,8 @@ def sample_graph_fast(c: CoordinateSample, seed: int) -> Graph:
     the product bound and corrects by rejection to W.  Seed streams are keyed
     per anchor, so output is identical under any row partitioning.
     """
-    n = c.params.n
-    x = c.to_exponential()
+    x = np.asarray(x, dtype=float)
+    n = x.size
     order = np.argsort(x, kind="stable")
     xs = x[order]
     rows = np.arange(n - 1, dtype=np.int64) if n > 1 else np.empty(0, dtype=np.int64)
@@ -255,16 +221,11 @@ class GrowthState:
     to a shorter run.
     """
 
-    def __init__(self, gamma: float, nu: float, seed: int, exact: bool | None = None):
-        if exact is None:
-            exact = (gamma == 2.0)
-        if exact and gamma != 2.0:
-            raise DomainError("the exactly-projective chain requires gamma == 2")
+    def __init__(self, gamma: float, nu: float, seed: int):
         derive_params(gamma, nu, 1)  # validate (gamma, nu) eagerly
         self.gamma = float(gamma)
         self.nu = float(nu)
         self.seed = int(seed)
-        self.exact = bool(exact)
         self.v = np.empty(0)
         self.coords = np.empty(0)
         self._edge_rows: list = []
@@ -274,14 +235,11 @@ class GrowthState:
     def n(self) -> int:
         return int(self.coords.size)
 
-    def params(self) -> EnsembleParams:
-        return derive_params(self.gamma, self.nu, max(self.n, 1))
-
-    def _extend_coords(self, target_n: int):
+    def _extend_coords(self, size: int):
         old = self.n
-        t = np.arange(old, target_n, dtype=np.int64)
+        t = np.arange(old, size, dtype=np.int64)
         u = 1.0 - rng.uniform(self.seed, rng.TAG_GROW_COORD, t.astype(np.uint64))
-        if self.exact:
+        if self.gamma == 2.0:
             delta = self.nu / 2.0
             incr = -np.log(u) / delta
             base = self.v[-1] if old else 0.0
@@ -300,14 +258,14 @@ class GrowthState:
         self.v = np.concatenate((self.v, v_new))
         self.coords = np.concatenate((self.coords, x_new))
 
-    def grow_to(self, target_n: int):
-        if target_n < self.n:
-            raise DomainError(f"cannot shrink a growth chain from {self.n} to {target_n}")
-        if target_n == self.n:
+    def grow_to(self, size: int):
+        if size < self.n:
+            raise DomainError(f"cannot shrink a growth chain from {self.n} to {size}")
+        if size == self.n:
             return self
         old = self.n
-        self._extend_coords(target_n)
-        t = np.arange(max(old, 1), target_n, dtype=np.int64)
+        self._extend_coords(size)
+        t = np.arange(max(old, 1), size, dtype=np.int64)
         if t.size:
             rid, ppos = _run_skip_rows(
                 self.coords, self.coords[t], t,
@@ -319,21 +277,13 @@ class GrowthState:
     def graph(self) -> Graph:
         return _finish_edges(self.n, list(self._edge_rows), list(self._edge_cols))
 
-    def coordinate_sample(self) -> CoordinateSample:
-        return CoordinateSample(params=self.params(), rep=Representation.EXPONENTIAL,
-                                coords=self.coords.copy(), seed=self.seed)
 
+def sample_graph_growing(p: EnsembleParams, seed: int):
+    """Grow a graph node by node to p.n nodes; returns (Graph, coordinates).
 
-def sample_graph_growing(p: EnsembleParams, seed: int, target_n: int | None = None,
-                         exact: bool | None = None):
-    """Grow a graph node by node; returns (Graph, CoordinateSample).
-
-    With gamma == 2 (default exact=True) the run is projective: the first n'
-    nodes of a longer run are byte-identical to a direct run of size n' with
-    the same seed.
+    With gamma == 2 the run is projective: the first n' nodes of a longer run
+    are byte-identical to a direct run of size n' with the same seed.
     """
-    if target_n is None:
-        target_n = p.n
-    state = GrowthState(p.gamma, p.nu, seed, exact=exact)
-    state.grow_to(target_n)
-    return state.graph(), state.coordinate_sample()
+    state = GrowthState(p.gamma, p.nu, seed)
+    state.grow_to(p.n)
+    return state.graph(), state.coords

@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, SizeGuardError
 from .graphon import _logistic_neg
-from .params import Representation
-from .sampler import CoordinateSample
 
 _MAX_ITER = 200  # residual evaluations; sampled degree sequences need 4-5 Newton steps
 _MIN_STEP = 2.0 ** -30  # the safeguard halves a Newton step at most 30 times
@@ -93,17 +91,15 @@ def solve_scm(k, tol: float = 1e-10) -> ScmInstance:
                            f"(tol {tol:.1e})")
 
 
-def hscm_to_scm(c: CoordinateSample) -> ScmInstance:
-    """Freeze sampled coordinates into a soft-configuration instance.
+def hscm_to_scm(x: np.ndarray) -> ScmInstance:
+    """Freeze sampled coordinates x into a soft-configuration instance.
 
-    Multipliers are the exponential coordinates themselves (no solving); the
+    Multipliers are the coordinates themselves (no solving); the
     induced edge probabilities equal the latent-conditional probabilities of
     the hypersoft ensemble exactly, and the reported expected degrees are
     their row sums, taken over row blocks of bounded size.
     """
-    if c.rep is not Representation.EXPONENTIAL:
-        raise DomainError("hscm_to_scm requires exponential-representation coordinates")
-    lam = np.asarray(c.coords, dtype=float)
+    lam = np.asarray(x, dtype=float)
     rows = max(1, _BLOCK_ELEMENTS // lam.size)
     k = np.empty(lam.size)
     for start in range(0, lam.size, rows):

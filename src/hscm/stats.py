@@ -124,7 +124,7 @@ def compare_to_theory(h: DegreeHistogram, p: EnsembleParams, k_max: int = 100) -
     q_fin = finite_n_degree_pmf(p, k_max)
     pe = h.pmf()
     try:
-        alpha = tail_exponent(h)
+        alpha = tail_exponent_fit(h).alpha
     except InsufficientTailError:
         alpha = None
     return ComparisonReport(
@@ -233,10 +233,6 @@ def tail_exponent_fit(h: DegreeHistogram, k_min: int | None = None) -> TailFit:
             f"tail is not power-law-like (KS {best.ks_distance:.3f}, "
             f"alpha {best.alpha:.2f} at k_min {best.k_min})")
     return best
-
-
-def tail_exponent(h: DegreeHistogram, k_min: int | None = None) -> float:
-    return tail_exponent_fit(h, k_min).alpha
 
 
 def ingest_edge_list(path) -> DegreeHistogram:

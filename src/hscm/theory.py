@@ -34,18 +34,22 @@ def _upper_gamma_quad(a: float, x: float) -> float:
     x int_0^inf exp(a u - x expm1(u)) du, whose integrand has no peak that
     narrows as x or a falls, as the one at t = x does.  The value
     lies in (0, 1] whatever the size of x, where Gamma(a, x) itself
-    underflows once x passes ~745.  The integral is split at
-    max(1, log1p(1/x)), past which x expm1(u) dominates; expm1's argument is
-    capped at 700, where the integrand has long underflowed to 0.
+    underflows once x passes ~745.  The integrand decays on a scale of about
+    1/(x - a), so u = w/c with c = max(1, x - a) puts that scale near 1
+    whatever x and a are.  The integral in w is split at max(1, log1p(1/x)),
+    past which x expm1(u) dominates; expm1's argument is capped at 700, where
+    the integrand has long underflowed to 0.
     """
+    c = max(1.0, x - a)
 
-    def integrand(u):
+    def integrand(w):
+        u = w / c
         return math.exp(a * u - x * math.expm1(min(u, 700.0)))
 
     split = max(1.0, math.log1p(1.0 / x))
     head = quad_checked(integrand, 0.0, split, rtol=1e-13)
     tail = quad_checked(integrand, split, np.inf, rtol=1e-13)
-    return x * (head + tail)
+    return x / c * (head + tail)
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,8 @@ class DegreeLaw:
         P_K = gamma pi_K x^(gamma-K) e^x Gamma(K - gamma, x), and the
         recurrence runs down to 0 and up to k_max, each in its stable
         direction.  pi_k is taken in log space, so no term underflows before
-        the pmf does.
+        the pmf does.  Where the pmf has underflowed, (k - gamma) < 0 can turn
+        a subnormal into a negative value, so the output is clipped at 0.
         """
         if k_max < 0 or k_max != int(k_max):
             raise DomainError(f"k_max must be a non-negative integer, got {k_max}")
@@ -83,7 +88,7 @@ class DegreeLaw:
         for k in range(seed, k_max):
             pk = ((k - gamma) * pk + gamma * pois[k]) / (k + 1)
             out[k + 1] = pk
-        return out
+        return np.maximum(out, 0.0, out=out)
 
 
 def expected_avg_degree_finite_n(p: EnsembleParams) -> float:
@@ -96,8 +101,15 @@ def expected_avg_degree_finite_n(p: EnsembleParams) -> float:
 
 
 def finite_size_epsilon(p: EnsembleParams) -> float:
-    """Finite-size correction exp(-(gamma-1) r_n) - exp(-2 gamma r_n)."""
-    return math.exp(-(p.gamma - 1.0) * p.r_n) - math.exp(-2.0 * p.gamma * p.r_n)
+    """Finite-size correction exp(-(gamma-1) r_n) - exp(-2 gamma r_n).
+
+    When r_n < 0 the second exponent is the larger one; once it passes 709,
+    where exp overflows, the correction saturates at -inf.
+    """
+    second = -2.0 * p.gamma * p.r_n
+    if second > 709.0:
+        return -math.inf
+    return math.exp(-(p.gamma - 1.0) * p.r_n) - math.exp(second)
 
 
 def finite_size_degree_tail(p: EnsembleParams, t):

@@ -13,7 +13,7 @@ def replica_graph(p, master_seed, index, variant="fast"):
     coord_seed = rng.subseed(master_seed, rng.TAG_REPLICA, 2 * index)
     edge_seed = rng.subseed(master_seed, rng.TAG_REPLICA, 2 * index + 1)
     if variant == "growing":
-        graph, _ = sampler.sample_graph_growing(p, coord_seed, p.n)
+        graph, _ = sampler.sample_graph_growing(p, coord_seed)
         return graph
     coords = sampler.sample_coordinates(p, coord_seed)
     if variant == "naive":

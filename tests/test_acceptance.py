@@ -17,8 +17,8 @@ from oracles import (mixed_poisson_pmf_oracle, mixing, prefix, rescaled_entropy_
 from hscm import rng
 from hscm.entropy import gibbs_entropy_bounds
 from hscm.graphon import w_fermi_dirac
-from hscm.params import Representation, derive_params
-from hscm.sampler import CoordinateSample, sample_coordinates, sample_graph_fast, \
+from hscm.params import derive_params
+from hscm.sampler import sample_coordinates, sample_graph_fast, \
     sample_graph_growing, sample_graph_naive
 from hscm.scm import hscm_to_scm, solve_scm
 from hscm.stats import compare_to_theory
@@ -162,8 +162,7 @@ def test_criterion_7_sampler_exactness():
     two_sample_ok = ks_p > 0.01 and chi_p > 0.01
 
     # (b) per-pair acceptance frequency on 10 fixed pairs x 1e6 trials
-    p2 = derive_params(2.0, 10.0, 2)
-    base = sample_coordinates(derive_params(2.0, 10.0, 1000), 99).coords
+    base = sample_coordinates(derive_params(2.0, 10.0, 1000), 99)
     pairs = [(base[i], base[-1 - i]) for i in range(0, 20, 2)]
     seeds_small = np.arange(2000, dtype=np.uint64)
     seeds_big = np.arange(10**6, dtype=np.uint64)
@@ -171,8 +170,7 @@ def test_criterion_7_sampler_exactness():
     ident_ok = True
     worst_z = 0.0
     for x0, x1 in pairs:
-        cs = CoordinateSample(params=p2, rep=Representation.EXPONENTIAL,
-                              coords=np.array([x0, x1]), seed=0)
+        cs = np.array([x0, x1])
         via_sampler = np.array([sample_graph_fast(cs, int(s)).num_edges > 0
                                 for s in seeds_small])
         via_helper = _pair_edge_fast(x0, x1, seeds_small)
@@ -191,10 +189,10 @@ def test_criterion_7_sampler_exactness():
 # -- criterion 8: projectivity of the growing sampler --
 
 def test_criterion_8_projectivity():
-    g_big, c_big = sample_graph_growing(derive_params(2.0, 10.0, 2000), ACCEPT_SEED, 2000)
-    g_small, c_small = sample_graph_growing(derive_params(2.0, 10.0, 1000), ACCEPT_SEED, 1000)
+    g_big, c_big = sample_graph_growing(derive_params(2.0, 10.0, 2000), ACCEPT_SEED)
+    g_small, c_small = sample_graph_growing(derive_params(2.0, 10.0, 1000), ACCEPT_SEED)
     edges_ok = prefix(g_big, 1000).edges.tobytes() == g_small.edges.tobytes()
-    coords_ok = c_big.coords[:1000].tobytes() == c_small.coords.tobytes()
+    coords_ok = c_big[:1000].tobytes() == c_small.tobytes()
     ok = edges_ok and coords_ok
     _report(8, ok, f"first-1000 truncation byte-identical: edges={edges_ok}, "
                    f"coords={coords_ok}")

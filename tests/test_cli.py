@@ -204,8 +204,9 @@ class TestEntropyCmd:
 
 class TestTheoryCmd:
     # x = beta*nu near 0: the seed quadrature's integrand used to peak
-    # sharply at t = x and miss its tolerance (exit 3)
-    @pytest.mark.parametrize("gamma,nu", [(1.000001, 10), (2, 1e-9)])
+    # sharply at t = x and miss its tolerance (exit 3); at x = 1e5 it decayed
+    # far inside the quadrature's first panel and missed it too
+    @pytest.mark.parametrize("gamma,nu", [(1.000001, 10), (2, 1e-9), (2, 2e5)])
     def test_small_pareto_scale_exit_0(self, tmp_path, gamma, nu):
         assert run_cli("theory", "--gamma", gamma, "--nu", nu, "--n", 1000,
                        "--out", tmp_path) == 0
@@ -221,6 +222,20 @@ class TestTheoryCmd:
         with open(tmp_path / "tail_curve.csv") as fh:
             tail = [float(r[1]) for r in list(csv.reader(fh))[1:]]
         assert all(0.0 <= v <= 1.0 for v in tail)
+
+    # r_n < 0 at gamma = 1000: exp(-2 gamma r_n) in the finite-size
+    # correction used to raise OverflowError
+    @pytest.mark.filterwarnings("error")
+    def test_huge_gamma_negative_r_n_exit_0(self, tmp_path):
+        assert run_cli("theory", "--gamma", 1000, "--nu", 1000, "--n", 10,
+                       "--out", tmp_path) == 0
+        for name in ("theory_pmf.csv", "tail_curve.csv"):
+            with open(tmp_path / name) as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert all(math.isfinite(float(v)) for row in rows for v in row)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert all(math.isfinite(summary[key]) for key in
+                   ("expected_avg_degree_finite_n", "expected_avg_degree_asymptotic", "r_n"))
 
 
 class TestScmIngestAndErrors:

@@ -10,17 +10,17 @@ from oracles import mu_n_cdf, mu_n_density, negative_mass, w_pareto, w_unit_inte
 from hscm import rng
 from hscm.errors import DomainError
 from hscm.graphon import w_fermi_dirac
-from hscm.params import (
-    EnsembleParams,
-    Representation,
-    convert_coordinate,
-    derive_params,
-    mu_n_quantile,
-)
+from hscm.params import EnsembleParams, derive_params, mu_n_quantile
 
-EXP = Representation.EXPONENTIAL
-UNI = Representation.UNIT_INTERVAL
-PAR = Representation.PARETO
+
+def to_unit_interval(p, x):
+    """The paper's map u = exp(gamma * (x - r_n)) onto (0, 1]."""
+    return np.exp(p.gamma * (np.asarray(x, dtype=float) - p.r_n))
+
+
+def to_pareto(p, x):
+    """The paper's map y = sqrt(nu * n) * exp(-x) onto [beta * nu, inf)."""
+    return math.sqrt(p.nu * p.n) * np.exp(-np.asarray(x, dtype=float))
 
 
 class TestDeriveParams:
@@ -115,35 +115,16 @@ class TestConversions:
 
     def test_endpoints(self):
         p = self.p
-        assert convert_coordinate(p, p.r_n, EXP, UNI) == pytest.approx(1.0, abs=1e-14)
-        assert convert_coordinate(p, p.r_n, EXP, PAR) == pytest.approx(
-            p.beta * p.nu, rel=1e-13)
-
-    def test_all_roundtrips_identity(self):
-        p, x = self.p, self.x
-        for a in (EXP, UNI, PAR):
-            ya = convert_coordinate(p, x, EXP, a)
-            for b in (EXP, UNI, PAR):
-                yb = convert_coordinate(p, ya, a, b)
-                back = convert_coordinate(p, yb, b, EXP)
-                assert np.max(np.abs(back - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
+        assert to_unit_interval(p, p.r_n) == pytest.approx(1.0, abs=1e-14)
+        assert to_pareto(p, p.r_n) == pytest.approx(p.beta * p.nu, rel=1e-13)
 
     def test_kernel_equivalence_across_representations(self):
         p, x = self.p, self.x
-        xt = convert_coordinate(p, x, EXP, UNI)
-        y = convert_coordinate(p, x, EXP, PAR)
+        xt = to_unit_interval(p, x)
+        y = to_pareto(p, x)
         w0 = w_fermi_dirac(x[:-1], x[1:])
         assert np.max(np.abs(w0 - w_unit_interval(p, xt[:-1], xt[1:]))) <= 1e-12
         assert np.max(np.abs(w0 - w_pareto(p, y[:-1], y[1:]))) <= 1e-12
-
-    def test_out_of_support_rejected(self):
-        p = self.p
-        with pytest.raises(DomainError):
-            convert_coordinate(p, p.r_n + 1.0, EXP, UNI)
-        with pytest.raises(DomainError):
-            convert_coordinate(p, 0.0, UNI, EXP)
-        with pytest.raises(DomainError):
-            convert_coordinate(p, 0.5 * p.beta * p.nu, PAR, EXP)
 
     def test_frozen_construction_validates(self):
         with pytest.raises(DomainError):

@@ -7,11 +7,10 @@ from scipy import stats as sps
 from conftest import pooled_histogram, replica_graph
 from oracles import omega_n, prefix
 from hscm import rng, sampler
-from hscm.errors import DomainError, SizeGuardError
+from hscm.errors import SizeGuardError
 from hscm.graphon import expected_degree_fn
-from hscm.params import Representation, derive_params
+from hscm.params import derive_params
 from hscm.sampler import (
-    CoordinateSample,
     Graph,
     GrowthState,
     _run_skip_rows,
@@ -48,22 +47,18 @@ class TestCoordinates:
         p = derive_params(2.0, 10.0, 1000)
         a = sample_coordinates(p, 42)
         b = sample_coordinates(p, 42)
-        assert np.array_equal(a.coords, b.coords)
-        assert not np.array_equal(a.coords, sample_coordinates(p, 43).coords)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, sample_coordinates(p, 43))
 
     def test_supports(self):
         p = derive_params(1.5, 3.0, 500)
-        for rep in Representation:
-            c = sample_coordinates(p, 5, rep)
-            from hscm.params import in_support
-
-            assert np.all(in_support(p, c.coords, rep))
+        assert np.all(sample_coordinates(p, 5) <= p.r_n)
 
     def test_negative_fraction(self):
         p = derive_params(2.0, 10.0, 10**5)
         c = sample_coordinates(p, 11)
         target = (p.beta**2 * p.nu / p.n) ** (p.gamma / 2.0)
-        frac = float(np.mean(c.coords < 0.0))
+        frac = float(np.mean(c < 0.0))
         se = math.sqrt(target * (1 - target) / p.n)
         assert abs(frac - target) <= 3.0 * se + 1e-12
 
@@ -71,7 +66,7 @@ class TestCoordinates:
         # sample mean of the closed-form expected degree estimates n*omega^2,
         # which itself sits within (1 - e^-(gamma-1)r)^2 of nu
         p = derive_params(2.0, 10.0, 10**5)
-        x = sample_coordinates(p, 17).coords
+        x = sample_coordinates(p, 17)
         kap = np.where(x >= 0, p.n * omega_n(p) * np.exp(-np.clip(x, 0, None)), 0.0)
         exact_mean = p.n * omega_n(p) ** 2
         se = float(np.std(kap, ddof=1)) / math.sqrt(p.n)
@@ -83,17 +78,14 @@ class TestNaiveSampler:
     def test_single_pair_probability(self):
         # two nodes at the support end: edge probability 1/(n/(beta^2 nu)+1)
         p = derive_params(2.0, 10.0, 2)
-        c = CoordinateSample(params=p, rep=Representation.EXPONENTIAL,
-                             coords=np.array([p.r_n, p.r_n]), seed=0)
+        c = np.array([p.r_n, p.r_n])
         prob = 1.0 / (p.n / (p.beta**2 * p.nu) + 1.0)
         hits = sum(sample_graph_naive(c, s).num_edges for s in range(20000))
         se = math.sqrt(prob * (1 - prob) * 20000)
         assert abs(hits - prob * 20000) <= 4.0 * se
 
     def test_degenerate_kernel_empty(self):
-        p = derive_params(2.0, 10.0, 4)
-        c = CoordinateSample(params=p, rep=Representation.EXPONENTIAL,
-                             coords=np.full(4, 400.0), seed=0)
+        c = np.full(4, 400.0)
         # probability ~ e^-800 per pair: never an edge
         assert sample_graph_naive(c, 1).num_edges == 0
 
@@ -138,7 +130,7 @@ class TestFastSampler:
         # reproduce the one-shot result exactly (per-row seed streams)
         p = derive_params(2.0, 10.0, 800)
         c = sample_coordinates(p, 21)
-        x = np.sort(c.coords, kind="stable")
+        x = np.sort(c, kind="stable")
         n = p.n
         rows = np.arange(n - 1, dtype=np.int64)
         full = _run_skip_rows(x, x[rows], rows, rows + 1,
@@ -192,13 +184,6 @@ class TestFastSampler:
         # edge-count sd ~ 8e3 at this size (latent-coordinate fluctuations)
         assert abs(g.num_edges - target) <= 3.0 * 8.5e3
 
-    def test_accepts_any_representation(self):
-        p = derive_params(2.0, 10.0, 500)
-        cu = sample_coordinates(p, 4, Representation.UNIT_INTERVAL)
-        gy = sample_graph_fast(cu, 5)
-        assert gy.first_fault() is None
-        assert gy.n == 500
-
     def test_mean_degree_by_coordinate_bucket(self):
         # bucket nodes by fixed latent-quantile cells (fresh coordinates per
         # replica); mean degree per bucket must match the latent-measure
@@ -214,7 +199,7 @@ class TestFastSampler:
         for r in range(reps):
             coords = sample_coordinates(p, 40000 + r)
             d = sample_graph_fast(coords, 7000 + r).degrees().astype(float)
-            bucket = np.searchsorted(x_edges[:-1], coords.coords, side="right")
+            bucket = np.searchsorted(x_edges[:-1], coords, side="right")
             for b in range(5):
                 sel = bucket == b
                 if sel.any():
@@ -250,17 +235,17 @@ class TestGrowingSampler:
     def test_projective_prefix_bytes(self):
         p2000 = derive_params(2.0, 10.0, 2000)
         p1000 = derive_params(2.0, 10.0, 1000)
-        g_big, c_big = sample_graph_growing(p2000, 4242, 2000)
-        g_small, c_small = sample_graph_growing(p1000, 4242, 1000)
+        g_big, c_big = sample_graph_growing(p2000, 4242)
+        g_small, c_small = sample_graph_growing(p1000, 4242)
         assert prefix(g_big, 1000).edges.tobytes() == g_small.edges.tobytes()
-        assert c_big.coords[:1000].tobytes() == c_small.coords.tobytes()
+        assert c_big[:1000].tobytes() == c_small.tobytes()
 
     def test_incremental_equals_one_shot(self):
         state = GrowthState(2.0, 10.0, 606)
         state.grow_to(300)
         state.grow_to(900)
         g_inc = state.graph()
-        g_one, _ = sample_graph_growing(derive_params(2.0, 10.0, 900), 606, 900)
+        g_one, _ = sample_graph_growing(derive_params(2.0, 10.0, 900), 606)
         assert np.array_equal(g_inc.edges, g_one.edges)
 
     def test_poisson_position_mean(self):
@@ -276,22 +261,18 @@ class TestGrowingSampler:
         assert abs(np.mean(vals) - n / delta) <= 3.0 * se
 
     def test_coordinates_increasing_both_variants(self):
-        for gamma, exact in ((2.0, True), (1.4, False)):
-            st = GrowthState(gamma, 5.0, 3, exact=exact)
+        for gamma in (2.0, 1.4):
+            st = GrowthState(gamma, 5.0, 3)
             st.grow_to(2000)
             assert np.all(np.diff(st.coords) > 0)
             assert np.all(np.diff(st.v) > 0)
-
-    def test_exact_variant_requires_gamma_two(self):
-        with pytest.raises(DomainError):
-            GrowthState(1.5, 10.0, 1, exact=True)
 
     def test_growing_matches_equilibrium_average_degree(self):
         p = derive_params(2.0, 10.0, 2000)
         me, mg = [], []
         for r in range(60):
             me.append(replica_graph(p, 123, r).average_degree())
-            g, _ = sample_graph_growing(p, rng.subseed(456, rng.TAG_REPLICA, r), 2000)
+            g, _ = sample_graph_growing(p, rng.subseed(456, rng.TAG_REPLICA, r))
             mg.append(g.average_degree())
         se = math.sqrt(np.var(me, ddof=1) / 60 + np.var(mg, ddof=1) / 60)
         assert abs(np.mean(me) - np.mean(mg)) <= 3.0 * se

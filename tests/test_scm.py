@@ -8,8 +8,8 @@ from scipy.special import expit
 from oracles import probability_matrix, realized_expected_degrees
 from hscm import scm
 from hscm.errors import ConvergenceError, DomainError, SizeGuardError
-from hscm.params import Representation, derive_params
-from hscm.sampler import CoordinateSample, sample_coordinates, sample_graph_fast
+from hscm.params import derive_params
+from hscm.sampler import sample_coordinates, sample_graph_fast
 from hscm.scm import hscm_to_scm, solve_scm
 from hscm.theory import expected_avg_degree_finite_n
 
@@ -137,10 +137,7 @@ class TestDegreeClasses:
 
 class TestFrozenCoordinates:
     def test_two_nodes_at_origin(self):
-        p = derive_params(2.0, 16.0, 2)
-        c = CoordinateSample(params=p, rep=Representation.EXPONENTIAL,
-                             coords=np.zeros(2), seed=0)
-        inst = hscm_to_scm(c)
+        inst = hscm_to_scm(np.zeros(2))
         assert probability_matrix(inst)[0, 1] == pytest.approx(0.5, abs=1e-15)
         assert inst.residual == 0.0
 
@@ -151,12 +148,6 @@ class TestFrozenCoordinates:
         inst = hscm_to_scm(c)
         assert np.max(np.abs(inst.expected_degrees - realized_expected_degrees(inst))) <= 1e-12
         assert np.array_equal(inst.expected_degrees, whole)
-
-    def test_requires_exponential_rep(self):
-        p = derive_params(2.0, 10.0, 10)
-        c = sample_coordinates(p, 1, Representation.PARETO)
-        with pytest.raises(DomainError):
-            hscm_to_scm(c)
 
     def test_round_trip_recovers_coordinates(self):
         p = derive_params(2.0, 10.0, 50)

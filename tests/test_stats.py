@@ -15,7 +15,6 @@ from hscm.stats import (
     degree_histogram,
     finite_n_degree_pmf,
     ingest_edge_list,
-    tail_exponent,
     tail_exponent_fit,
     tv_distance_lumped,
 )
@@ -123,7 +122,7 @@ class TestTailExponent:
         rng = np.random.default_rng(7)
         sample = rng.choice(np.arange(K + 1), p=pmf / pmf.sum(), size=400000)
         h = DegreeHistogram(counts=np.bincount(sample), n=sample.size, n_graphs=1)
-        assert abs(tail_exponent(h) - (p.gamma + 1)) <= 0.15
+        assert abs(tail_exponent_fit(h).alpha - (p.gamma + 1)) <= 0.15
 
     def test_fixed_k_min(self):
         h = self._zeta_sample_hist(2.5, 100000, 3)
@@ -134,20 +133,20 @@ class TestTailExponent:
     def test_hscm_ensemble_tail_exponent(self):
         # 10 replicas at n = 1e6, gamma = 2: alpha_hat within [2.8, 3.2]
         h = pooled_histogram(2.0, 10.0, 10**6, 10, 777)
-        alpha = tail_exponent(h)
+        alpha = tail_exponent_fit(h).alpha
         assert 2.8 <= alpha <= 3.2
 
     def test_flat_histogram_rejected(self):
         flat = DegreeHistogram(counts=np.full(60, 500, dtype=np.int64),
                                n=30000, n_graphs=1)
         with pytest.raises(InsufficientTailError):
-            tail_exponent(flat)
+            tail_exponent_fit(flat)
 
     def test_insufficient_tail_rejected(self):
         h = DegreeHistogram(counts=np.array([50, 20, 9], dtype=np.int64),
                             n=79, n_graphs=1)
         with pytest.raises(InsufficientTailError):
-            tail_exponent(h)
+            tail_exponent_fit(h)
 
 
 class TestCompareToTheory:

@@ -102,18 +102,22 @@ class TestDegreePmf:
         # a k_max below the seed degree runs the recurrence downward only
         assert law.pmf_array(5) == pytest.approx(pmf[:6], rel=1e-11, abs=1e-280)
 
-    # pmf(0) at gamma = 200, x = beta*nu ~ 1e-7 used to come out as 0, and
-    # pmf(3) at gamma = 50, nu = 1e-3 raised QuadratureError
-    @pytest.mark.parametrize("gamma,nu,k_max", [(200.0, 1e-7, 0), (50.0, 1e-3, 3)])
+    # pmf(0) at gamma = 200, x = beta*nu ~ 1e-7 used to come out as 0,
+    # pmf(3) at gamma = 50, nu = 1e-3 raised QuadratureError, and at
+    # gamma = 82.68, nu = 0.0037 the upward recurrence turned the underflowed
+    # pmf(83) into -5e-324
+    @pytest.mark.parametrize("gamma,nu,k_max", [(200.0, 1e-7, 0), (50.0, 1e-3, 3),
+                                                (82.68, 0.0037, 100)])
     def test_tiny_pareto_scale_matches_mpmath(self, gamma, nu, k_max):
         law = DegreeLaw(derive_params(gamma, nu, 1000))
         pmf = law.pmf_array(k_max)
         assert np.all(np.isfinite(pmf))
+        assert np.all(pmf >= 0.0)
         for k in range(k_max + 1):
             assert pmf[k] == pytest.approx(float(pmf_mpmath(mixing(law), k)), rel=1e-11)
 
     @pytest.mark.parametrize("a", [-199.5, -50.5, -1.5, -1e-9])
-    @pytest.mark.parametrize("x", [1e-12, 1e-5, 1.0, 1e3])
+    @pytest.mark.parametrize("x", [1e-12, 1e-5, 1.0, 1e3, 1e5, 1e6, 1e7])
     def test_seed_quadrature_matches_mpmath(self, a, x):
         with mp.workdps(40):
             ref = mp.power(x, 1 - a) * mp.exp(x) * mp.gammainc(a, x)
