@@ -162,9 +162,10 @@ def cmd_theory(cfg) -> int:
     pmf = law.pmf_array(cfg.k_max)
     hio.write_csv(os.path.join(cfg.out, "theory_pmf.csv"), ["k", "pmf"],
                   [(k, f"{pmf[k]:.12e}") for k in range(cfg.k_max + 1)])
-    scale = p.pareto_scale
-    t_hi = math.sqrt(p.nu * p.n)
-    ts = np.geomspace(scale / 4.0, t_hi * 1.2, cfg.t_points)
+    # from below the lower to above the upper of the curve's two cutoffs,
+    # beta*nu and sqrt(nu*n), which trade places when n is small against nu
+    t_lo, t_hi = sorted((p.pareto_scale, math.sqrt(p.nu * p.n)))
+    ts = np.geomspace(t_lo / 4.0, t_hi * 1.2, cfg.t_points)
     tail = finite_size_degree_tail(p, ts)
     hio.write_csv(os.path.join(cfg.out, "tail_curve.csv"), ["t", "tail_probability"],
                   [(f"{t:.8e}", f"{v:.10e}") for t, v in zip(ts, tail)])
@@ -330,6 +331,12 @@ def main(argv=None) -> int:
     except (OSError, ParseError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        given = ", ".join(f"{k}={getattr(cfg, k)}"
+                          for k in ("n", "k_max", "t_points", "path", "degrees_file")
+                          if getattr(cfg, k, None) is not None)
+        print(f"configuration error: not enough memory for {given}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

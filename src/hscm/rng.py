@@ -2,7 +2,9 @@
 
 Every random decision in the samplers is a pure function of
 (seed, stream tag, indices), so results are reproducible independently of
-evaluation order, chunking, or thread count.
+evaluation order, chunking, or thread count.  Because the hash chains
+_finalize(h ^ part), a stream whose leading parts are fixed can hash them
+once into a prefix; each draw is then one finalizer of prefix ^ counter.
 """
 
 from __future__ import annotations
@@ -39,6 +41,30 @@ def _finalize(z):
     return z
 
 
+def _finalize_int(z: int) -> int:
+    """_finalize on one Python int in [0, 2**64), exact and without numpy calls."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _to_unit(h):
+    """The top 53 bits of each uint64 as a float in [0, 1)."""
+    return (h >> _S11).astype(np.float64) * (2.0 ** -53)
+
+
+def draw(prefix, counter):
+    """uniform(*parts, counter) for prefix = hash_u64(*parts), by one finalizer.
+
+    prefix and counter are uint64 arrays; as Python ints, the draw runs in
+    exact integer arithmetic and returns a Python float of the same value.
+    """
+    if isinstance(prefix, int):
+        return (_finalize_int(prefix ^ counter) >> 11) * (2.0 ** -53)
+    return _to_unit(_finalize(prefix ^ counter))
+
+
 def _as_u64(x):
     if isinstance(x, np.ndarray):
         return x.astype(np.uint64, copy=False)
@@ -56,8 +82,7 @@ def hash_u64(*parts):
 
 def uniform(*parts):
     """Uniform [0, 1) floats keyed by the given parts (broadcasting)."""
-    h = hash_u64(*parts)
-    return (h >> _S11).astype(np.float64) * (2.0 ** -53)
+    return _to_unit(hash_u64(*parts))
 
 
 def subseed(seed, tag, index) -> int:

@@ -11,6 +11,7 @@ work per row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .params import EnsembleParams, derive_params, mu_n_quantile
 
 NAIVE_SIZE_GUARD = 30_000
 _NAIVE_BLOCK = 1 << 20  # upper-triangle pairs the naive sampler draws at once
+_SCALAR_ROWS = 8  # the skip engine finishes this many live rows or fewer one at a time
 
 
 @dataclass(frozen=True)
@@ -130,9 +132,14 @@ def _run_skip_rows(xs: np.ndarray, row_coord: np.ndarray, row_ids: np.ndarray,
 
     xs must be ascending so that, within a row, connection probabilities are
     non-increasing over candidate positions start[r]..stop[r]-1.  Row r draws
-    its uniforms from the counter-based stream (seed, tag, row_ids[r], k);
-    results are therefore independent of how rows are batched.
-    Returns (row_id, position) arrays of accepted candidates.
+    its uniforms from the counter-based stream (seed, tag, row_ids[r], k):
+    the prefix (seed, tag, row_ids[r]) is hashed once when the row enters,
+    and draw k is one finalizer of prefix ^ k.  Results are therefore
+    independent of how rows are batched.  All live rows step together as
+    arrays until at most _SCALAR_ROWS are left; those stragglers (often the
+    hub rows) finish one at a time in _finish_row, with the same draws and
+    float operations.  Returns (row_id, position) arrays of accepted
+    candidates, in no particular order.
     """
     pos = start.astype(np.int64).copy()
     stp = stop.astype(np.int64)
@@ -142,6 +149,7 @@ def _run_skip_rows(xs: np.ndarray, row_coord: np.ndarray, row_ids: np.ndarray,
     stp = stp[idx]
     rx = row_coord[idx]
     rid = row_ids[idx].astype(np.uint64)
+    pre = rng.hash_u64(seed, tag, rid)
     ctr = np.zeros(idx.size, dtype=np.uint64)
 
     s = rx + xs[pos]
@@ -149,11 +157,11 @@ def _run_skip_rows(xs: np.ndarray, row_coord: np.ndarray, row_ids: np.ndarray,
     out_r, out_p = [], []
     one = np.uint64(1)
 
-    while pos.size:
+    while pos.size > _SCALAR_ROWS:
         # Geometric jump at the current bound (rows at bound 1 stay put).
         jump = pb < 1.0
         if jump.any():
-            u = rng.uniform(seed, tag, rid[jump], ctr[jump])
+            u = rng.draw(pre[jump], ctr[jump])
             ctr[jump] += one
             with np.errstate(divide="ignore", invalid="ignore"):
                 g = np.log1p(-u) / np.log1p(-pb[jump])
@@ -163,14 +171,15 @@ def _run_skip_rows(xs: np.ndarray, row_coord: np.ndarray, row_ids: np.ndarray,
 
         live = pos < stp
         if not live.all():
-            pos, stp, rx, rid, ctr, pb = (a[live] for a in (pos, stp, rx, rid, ctr, pb))
+            pos, stp, rx, rid, pre, ctr, pb = (
+                a[live] for a in (pos, stp, rx, rid, pre, ctr, pb))
             if not pos.size:
                 break
 
         # Thin the landing to the Fermi-Dirac probability.
         s = rx + xs[pos]
         w = _logistic_neg(s)
-        u2 = rng.uniform(seed, tag, rid, ctr)
+        u2 = rng.draw(pre, ctr)
         ctr += one
         acc = u2 * pb < w
         if acc.any():
@@ -182,11 +191,49 @@ def _run_skip_rows(xs: np.ndarray, row_coord: np.ndarray, row_ids: np.ndarray,
         pos += 1
         live = pos < stp
         if not live.all():
-            pos, stp, rx, rid, ctr, pb = (a[live] for a in (pos, stp, rx, rid, ctr, pb))
+            pos, stp, rx, rid, pre, ctr, pb = (
+                a[live] for a in (pos, stp, rx, rid, pre, ctr, pb))
+
+    for r in range(pos.size):
+        hits = _finish_row(xs, int(pos[r]), int(stp[r]), float(rx[r]), int(pre[r]),
+                           int(ctr[r]), float(pb[r]))
+        out_r.append(np.full(len(hits), rid[r], dtype=np.int64))
+        out_p.append(np.array(hits, dtype=np.int64))
 
     if out_r:
         return np.concatenate(out_r), np.concatenate(out_p)
     return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+
+
+def _finish_row(xs, pos, stop, rx, prefix, ctr, pb):
+    """Accepted positions of one live row, stepped in Python scalars.
+
+    The steps of the array loop of _run_skip_rows for a single row: the same
+    stream draws, in exact integer arithmetic, and the same float
+    operations.  log1p and exp are numpy's, not math's, so that every value
+    matches the array loop to the last bit.
+    """
+    hits = []
+    while True:
+        if pb < 1.0:
+            rem = stop - pos
+            u = rng.draw(prefix, ctr)
+            ctr += 1
+            scale = float(np.log1p(-pb))  # 0 once pb underflows: an infinite jump
+            g = float(np.log1p(-u)) / scale if scale else math.inf
+            pos += min(math.floor(g), rem) if g < math.inf else rem  # nan fails < too
+            if pos >= stop:
+                return hits
+        s = rx + float(xs[pos])
+        t = float(np.exp(-abs(s)))  # for s > 0 also the next bound exp(-s)
+        w = t / (1.0 + t) if s >= 0.0 else 1.0 / (1.0 + t)
+        if rng.draw(prefix, ctr) * pb < w:
+            hits.append(pos)
+        ctr += 1
+        pb = 1.0 if s <= 0.0 else t
+        pos += 1
+        if pos >= stop:
+            return hits
 
 
 def sample_graph_fast(x: np.ndarray, seed: int) -> Graph:

@@ -21,6 +21,12 @@ bracket_bounds, deviation_log_slope, expected_avg_degree_classical,
 negative_mass, refine_doubled, tail_mass_bound and truncation_k are closed
 forms, fits and helpers that only the tests use.
 
+skip_rows_reference is the skip engine as sampler._run_skip_rows stood
+before it hashed each row's stream prefix once and finished the last few
+rows in a scalar loop: every draw re-hashes (seed, tag, row, counter)
+through rng.uniform, and all rows step together as arrays until the last
+one ends.  The engine must return the same (row, position) pairs.
+
 The rest of this module is model code that no production path reaches, kept
 here for the tests that check it: the classical product kernel
 min(exp(-s), 1) of the approximation bounds with its entropy, omega_n and
@@ -40,7 +46,8 @@ from scipy.special import xlogy
 
 from hscm.entropy import PartitionSpec, graphon_entropy, interval_masses
 from hscm.errors import DomainError
-from hscm.graphon import bernoulli_entropy, expectation_of_sum, w_fermi_dirac
+from hscm import rng
+from hscm.graphon import _logistic_neg, bernoulli_entropy, expectation_of_sum, w_fermi_dirac
 from hscm.params import derive_params, mu_n_quantile
 from hscm.quadrature import gauss_legendre_nodes, quad_checked
 from hscm.sampler import Graph
@@ -157,6 +164,73 @@ def pareto_tail(law, y):
     y = np.asarray(y, dtype=float)
     out = np.where(y >= law.scale, np.power(law.scale / np.maximum(y, law.scale), law.shape), 1.0)
     return out if out.ndim else float(out)
+
+
+# -- the skip engine as it stood before its prefix-hash and scalar-finish rework --
+
+def skip_rows_reference(xs: np.ndarray, row_coord: np.ndarray, row_ids: np.ndarray,
+                        start: np.ndarray, stop: np.ndarray, seed: int, tag: int):
+    """Exact Bernoulli(W) sampling of many independent rows by geometric skipping.
+
+    xs must be ascending so that, within a row, connection probabilities are
+    non-increasing over candidate positions start[r]..stop[r]-1.  Row r draws
+    its uniforms from the counter-based stream (seed, tag, row_ids[r], k);
+    results are therefore independent of how rows are batched.
+    Returns (row_id, position) arrays of accepted candidates.
+    """
+    pos = start.astype(np.int64).copy()
+    stp = stop.astype(np.int64)
+    alive = pos < stp
+    idx = np.nonzero(alive)[0]
+    pos = pos[idx]
+    stp = stp[idx]
+    rx = row_coord[idx]
+    rid = row_ids[idx].astype(np.uint64)
+    ctr = np.zeros(idx.size, dtype=np.uint64)
+
+    s = rx + xs[pos]
+    pb = np.where(s <= 0.0, 1.0, np.exp(-np.clip(s, 0.0, None)))
+    out_r, out_p = [], []
+    one = np.uint64(1)
+
+    while pos.size:
+        # Geometric jump at the current bound (rows at bound 1 stay put).
+        jump = pb < 1.0
+        if jump.any():
+            u = rng.uniform(seed, tag, rid[jump], ctr[jump])
+            ctr[jump] += one
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g = np.log1p(-u) / np.log1p(-pb[jump])
+            rem = (stp[jump] - pos[jump]).astype(float)
+            g = np.where(np.isfinite(g), np.minimum(np.floor(g), rem), rem)
+            pos[jump] += g.astype(np.int64)
+
+        live = pos < stp
+        if not live.all():
+            pos, stp, rx, rid, ctr, pb = (a[live] for a in (pos, stp, rx, rid, ctr, pb))
+            if not pos.size:
+                break
+
+        # Thin the landing to the Fermi-Dirac probability.
+        s = rx + xs[pos]
+        w = _logistic_neg(s)
+        u2 = rng.uniform(seed, tag, rid, ctr)
+        ctr += one
+        acc = u2 * pb < w
+        if acc.any():
+            out_r.append(rid[acc].astype(np.int64))
+            out_p.append(pos[acc].copy())
+
+        # Tighten the bound to the just-visited position and advance.
+        pb = np.where(s <= 0.0, 1.0, np.exp(-np.clip(s, 0.0, None)))
+        pos += 1
+        live = pos < stp
+        if not live.all():
+            pos, stp, rx, rid, ctr, pb = (a[live] for a in (pos, stp, rx, rid, ctr, pb))
+
+    if out_r:
+        return np.concatenate(out_r), np.concatenate(out_p)
+    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
 # -- graphs, entropy series and the maximality check --

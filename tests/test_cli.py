@@ -237,6 +237,18 @@ class TestTheoryCmd:
         assert all(math.isfinite(summary[key]) for key in
                    ("expected_avg_degree_finite_n", "expected_avg_degree_asymptotic", "r_n"))
 
+    # at n small against nu the upper cutoff sqrt(nu*n) falls below beta*nu/4,
+    # and the grid used to run from 249.75 down to 120
+    @pytest.mark.parametrize("gamma,nu,n", [(1000, 1000, 10), (2, 10, 10**6)])
+    def test_tail_grid_spans_both_cutoffs_increasing(self, tmp_path, gamma, nu, n):
+        assert run_cli("theory", "--gamma", gamma, "--nu", nu, "--n", n,
+                       "--k-max", 5, "--out", tmp_path) == 0
+        with open(tmp_path / "tail_curve.csv") as fh:
+            ts = [r[0] for r in list(csv.reader(fh))[1:]]
+        assert all(float(a) < float(b) for a, b in zip(ts, ts[1:]))
+        lo, hi = sorted((nu * (1.0 - 1.0 / gamma), math.sqrt(nu * n)))
+        assert (ts[0], ts[-1]) == (f"{lo / 4.0:.8e}", f"{hi * 1.2:.8e}")
+
 
 class TestScmIngestAndErrors:
     def test_scm_solve_from_file(self, tmp_path):
@@ -295,6 +307,14 @@ class TestScmIngestAndErrors:
     def test_config_error_exit_2(self, tmp_path):
         assert run_cli("theory", "--gamma", 0.5, "--nu", 10, "--n", 100,
                        "--out", tmp_path) == 2
+
+    # numpy refuses the 7 TiB coordinate array at once: nothing is allocated
+    @pytest.mark.parametrize("command", ["generate", "degrees"])
+    def test_huge_n_out_of_memory_exit_2(self, tmp_path, capsys, command):
+        assert run_cli(command, "--gamma", 2, "--nu", 10, "--n", 10**12, "--seed", 1,
+                       "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: not enough memory for n=1000000000000")
 
     def test_io_error_exit_4(self, tmp_path):
         assert run_cli("ingest", "--path", tmp_path / "missing.txt",

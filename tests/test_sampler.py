@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from conftest import pooled_histogram, replica_graph
-from oracles import omega_n, prefix
+from oracles import omega_n, prefix, skip_rows_reference
 from hscm import rng, sampler
 from hscm.errors import SizeGuardError
 from hscm.graphon import expected_degree_fn
@@ -229,6 +229,56 @@ class TestFastSampler:
         keep = (c0 + c57) >= 10
         _, pval, _, _ = sps.chi2_contingency(np.vstack([c0[keep], c57[keep]]))
         assert pval > 0.01
+
+
+def _pairs_sorted(result):
+    rows, positions = result
+    order = np.lexsort((positions, rows))
+    return rows[order], positions[order]
+
+
+class TestSkipEngine:
+    # (gamma, nu, n, growing rows); at gamma = 1.1 the hub rows are the last
+    # ones live, and n = 9 gives 8 rows, which start in the scalar loop
+    @pytest.mark.parametrize("gamma,nu,n,growing", [
+        (2.0, 10.0, 30000, False),
+        (1.1, 4.92, 20000, False),
+        (2.0, 10.0, 5000, True),
+        (2.0, 10.0, 9, False),
+    ])
+    def test_matches_reference_engine(self, monkeypatch, gamma, nu, n, growing):
+        finished = []
+
+        def spy(*args):
+            hits = finish_row(*args)
+            finished.append(len(hits))
+            return hits
+
+        finish_row = sampler._finish_row
+        monkeypatch.setattr(sampler, "_finish_row", spy)
+        x = np.sort(sample_coordinates(derive_params(gamma, nu, n), 61), kind="stable")
+        if growing:
+            rows = np.arange(1, n, dtype=np.int64)
+            start, stop, tag = np.zeros(rows.size, dtype=np.int64), rows, rng.TAG_GROW_EDGE
+        else:
+            rows = np.arange(n - 1, dtype=np.int64)
+            start, stop, tag = rows + 1, np.full(rows.size, n, dtype=np.int64), rng.TAG_EDGE_FAST
+        for seed in (5, 6):
+            got = _pairs_sorted(_run_skip_rows(x, x[rows], rows, start, stop, seed, tag))
+            want = _pairs_sorted(skip_rows_reference(x, x[rows], rows, start, stop, seed, tag))
+            assert want[0].size > 0
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert sum(finished) > 0  # the scalar loop accepted some of the pairs
+
+    def test_int_finalizer_and_prefix_draws(self):
+        z = np.random.default_rng(3).integers(0, 2**64, 10**4, dtype=np.uint64, endpoint=False)
+        z[:2] = (0, 2**64 - 1)
+        assert [rng._finalize_int(int(v)) for v in z] == [int(v) for v in rng._finalize(z)]
+        rows, ctr = z[:100], np.arange(100, dtype=np.uint64)
+        heads = rng.hash_u64(9, rng.TAG_EDGE_FAST, rows)
+        want = rng.uniform(9, rng.TAG_EDGE_FAST, rows, ctr)
+        assert np.array_equal(rng.draw(heads, ctr), want)
+        assert [rng.draw(int(h), int(c)) for h, c in zip(heads, ctr)] == want.tolist()
 
 
 class TestGrowingSampler:
