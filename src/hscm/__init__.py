@@ -34,7 +34,6 @@ from .params import (
 )
 from .sampler import (
     Graph,
-    GrowthState,
     sample_coordinates,
     sample_graph_fast,
     sample_graph_growing,

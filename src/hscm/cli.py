@@ -52,26 +52,22 @@ def _generate_one(args_tuple):
             graph = sample_graph_naive(coords, edge_seed)
         else:
             graph = sample_graph_fast(coords, edge_seed)
-    return index, graph, time.perf_counter() - t0
+    return graph, time.perf_counter() - t0
 
 
-def _generate_graphs(cfg, seed):
-    jobs = [(cfg.gamma, cfg.nu, cfg.n, seed, i, cfg.sampler)
+def _generate_graphs(cfg):
+    """(graph, wall seconds) of each replica, in replica order."""
+    jobs = [(cfg.gamma, cfg.nu, cfg.n, cfg.seed, i, cfg.sampler)
             for i in range(cfg.replicas)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_generate_one, jobs))
-    else:
-        results = [_generate_one(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
-    return results
+            return list(pool.map(_generate_one, jobs))
+    return [_generate_one(j) for j in jobs]
 
 
 def cmd_generate(cfg) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
-    results = _generate_graphs(cfg, cfg.seed)
     replicas = []
-    for index, graph, wall in results:
+    for index, (graph, wall) in enumerate(_generate_graphs(cfg)):
         path = os.path.join(cfg.out, f"graph_{index:03d}.edges")
         hio.write_edge_list(path, graph, cfg.seed)
         replicas.append({
@@ -94,7 +90,6 @@ def cmd_generate(cfg) -> int:
 
 
 def cmd_degrees(cfg) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     p = derive_params(cfg.gamma, cfg.nu, cfg.n)
     if cfg.input_dir:
         graphs = []
@@ -104,7 +99,7 @@ def cmd_degrees(cfg) -> int:
         if not graphs:
             raise DomainError(f"no .edges files under {cfg.input_dir}")
     else:
-        graphs = [g for _, g, _ in _generate_graphs(cfg, cfg.seed)]
+        graphs = [g for g, _ in _generate_graphs(cfg)]
     if graphs[0].n != cfg.n:
         raise DomainError(f"graphs have n={graphs[0].n} but --n is {cfg.n}")
     hist = degree_histogram(graphs)
@@ -137,7 +132,6 @@ def cmd_degrees(cfg) -> int:
 
 
 def cmd_entropy(cfg) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     rows = []
     for n in cfg.sizes:
         p = derive_params(cfg.gamma, cfg.nu, n)
@@ -156,7 +150,6 @@ def cmd_entropy(cfg) -> int:
 
 
 def cmd_theory(cfg) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     p = derive_params(cfg.gamma, cfg.nu, cfg.n)
     law = DegreeLaw(p)
     pmf = law.pmf_array(cfg.k_max)
@@ -180,7 +173,6 @@ def cmd_theory(cfg) -> int:
 
 
 def cmd_scm_solve(cfg) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     if cfg.degrees_file:
         inst = solve_scm(hio.read_degrees(cfg.degrees_file), tol=cfg.tol)
         source = {"degrees_file": cfg.degrees_file}
@@ -201,7 +193,6 @@ def cmd_scm_solve(cfg) -> int:
 
 
 def cmd_ingest(cfg) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     hist = ingest_edge_list(cfg.path)
     pmf = hist.pmf()
     rows = [(k, int(hist.counts[k]), f"{pmf[k]:.10e}")
@@ -321,6 +312,7 @@ def main(argv=None) -> int:
         if not cfg.sizes or any(b <= a for a, b in zip(cfg.sizes, cfg.sizes[1:])):
             ap.error("--sizes must be strictly increasing")
     try:
+        os.makedirs(cfg.out, exist_ok=True)
         return cfg.func(cfg)
     except (DomainError, SizeGuardError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import DomainError, SizeGuardError
+from .errors import SizeGuardError
 from .graphon import _logistic_neg
-from .params import EnsembleParams, derive_params, mu_n_quantile
+from .params import EnsembleParams, mu_n_quantile
 
 NAIVE_SIZE_GUARD = 30_000
 _NAIVE_BLOCK = 1 << 20  # upper-triangle pairs the naive sampler draws at once
@@ -126,12 +126,13 @@ def sample_graph_naive(x: np.ndarray, seed: int) -> Graph:
     return _finish_edges(n, rows, cols)
 
 
-def _run_skip_rows(xs: np.ndarray, row_coord: np.ndarray, row_ids: np.ndarray,
-                   start: np.ndarray, stop: np.ndarray, seed: int, tag: int):
+def _run_skip_rows(xs: np.ndarray, row_ids: np.ndarray, start: np.ndarray,
+                   stop: np.ndarray, seed: int, tag: int):
     """Exact Bernoulli(W) sampling of many independent rows by geometric skipping.
 
-    xs must be ascending so that, within a row, connection probabilities are
-    non-increasing over candidate positions start[r]..stop[r]-1.  Row r draws
+    Row r is node xs[row_ids[r]] against candidate positions
+    start[r]..stop[r]-1 of xs.  xs must be ascending so that, within a row,
+    connection probabilities are non-increasing over them.  Row r draws
     its uniforms from the counter-based stream (seed, tag, row_ids[r], k):
     the prefix (seed, tag, row_ids[r]) is hashed once when the row enters,
     and draw k is one finalizer of prefix ^ k.  Results are therefore
@@ -147,8 +148,8 @@ def _run_skip_rows(xs: np.ndarray, row_coord: np.ndarray, row_ids: np.ndarray,
     idx = np.nonzero(alive)[0]
     pos = pos[idx]
     stp = stp[idx]
-    rx = row_coord[idx]
     rid = row_ids[idx].astype(np.uint64)
+    rx = xs[rid]
     pre = rng.hash_u64(seed, tag, rid)
     ctr = np.zeros(idx.size, dtype=np.uint64)
 
@@ -248,89 +249,38 @@ def sample_graph_fast(x: np.ndarray, seed: int) -> Graph:
     n = x.size
     order = np.argsort(x, kind="stable")
     xs = x[order]
-    rows = np.arange(n - 1, dtype=np.int64) if n > 1 else np.empty(0, dtype=np.int64)
-    rid, ppos = _run_skip_rows(
-        xs, xs[rows] if rows.size else xs[:0], rows, rows + 1,
-        np.full(rows.size, n, dtype=np.int64), seed, rng.TAG_EDGE_FAST)
+    rows = np.arange(max(n - 1, 0), dtype=np.int64)
+    rid, ppos = _run_skip_rows(xs, rows, rows + 1, np.full(rows.size, n, dtype=np.int64),
+                               seed, rng.TAG_EDGE_FAST)
     return _finish_edges(n, [order[rid]], [order[ppos]])
-
-
-class GrowthState:
-    """Incremental growing-chain sampler state.
-
-    For gamma == 2 the chain is the exactly-projective construction: node t
-    sits at x_t = 0.5*log(2 v_t) where v_t is a rate-delta Poisson process on
-    the positive half line.  For other gamma the increment construction is
-    used (node t drawn from the latent measure restricted to the t'th support
-    increment); that variant matches the equilibrium ensemble asymptotically,
-    not exactly.  Both keep coordinates strictly increasing, and every node
-    uses its own seed streams, so any prefix of a longer run is byte-identical
-    to a shorter run.
-    """
-
-    def __init__(self, gamma: float, nu: float, seed: int):
-        derive_params(gamma, nu, 1)  # validate (gamma, nu) eagerly
-        self.gamma = float(gamma)
-        self.nu = float(nu)
-        self.seed = int(seed)
-        self.v = np.empty(0)
-        self.coords = np.empty(0)
-        self._edge_rows: list = []
-        self._edge_cols: list = []
-
-    @property
-    def n(self) -> int:
-        return int(self.coords.size)
-
-    def _extend_coords(self, size: int):
-        old = self.n
-        t = np.arange(old, size, dtype=np.int64)
-        u = 1.0 - rng.uniform(self.seed, rng.TAG_GROW_COORD, t.astype(np.uint64))
-        if self.gamma == 2.0:
-            delta = self.nu / 2.0
-            incr = -np.log(u) / delta
-            base = self.v[-1] if old else 0.0
-            v_new = base + np.cumsum(incr)
-            x_new = 0.5 * np.log(2.0 * v_new)
-        else:
-            gamma = self.gamma
-            beta = 1.0 - 1.0 / gamma
-            sizes = (t + 1).astype(float)
-            r_t = 0.5 * np.log(sizes / (beta * beta * self.nu))
-            r_prev = 0.5 * np.log(np.maximum(sizes - 1.0, 1.0) / (beta * beta * self.nu))
-            q = np.exp(-gamma * (r_t - r_prev))
-            q[t == 0] = 0.0  # first increment is the whole support
-            x_new = r_t + np.log(q + u * (1.0 - q)) / gamma
-            v_new = 0.5 * np.exp(2.0 * x_new)
-        self.v = np.concatenate((self.v, v_new))
-        self.coords = np.concatenate((self.coords, x_new))
-
-    def grow_to(self, size: int):
-        if size < self.n:
-            raise DomainError(f"cannot shrink a growth chain from {self.n} to {size}")
-        if size == self.n:
-            return self
-        old = self.n
-        self._extend_coords(size)
-        t = np.arange(max(old, 1), size, dtype=np.int64)
-        if t.size:
-            rid, ppos = _run_skip_rows(
-                self.coords, self.coords[t], t,
-                np.zeros(t.size, dtype=np.int64), t, self.seed, rng.TAG_GROW_EDGE)
-            self._edge_rows.append(rid)
-            self._edge_cols.append(ppos)
-        return self
-
-    def graph(self) -> Graph:
-        return _finish_edges(self.n, list(self._edge_rows), list(self._edge_cols))
 
 
 def sample_graph_growing(p: EnsembleParams, seed: int):
     """Grow a graph node by node to p.n nodes; returns (Graph, coordinates).
 
-    With gamma == 2 the run is projective: the first n' nodes of a longer run
-    are byte-identical to a direct run of size n' with the same seed.
+    For gamma == 2 the chain is the exactly-projective construction: node t
+    sits at x_t = 0.5*log(2 v_t) where v_t is a rate-delta Poisson process on
+    the positive half line.  For other gamma node t is drawn from the latent
+    measure restricted to the t'th support increment; that variant matches
+    the equilibrium ensemble asymptotically, not exactly.  Both keep
+    coordinates strictly increasing, and node t links to earlier nodes from
+    its own seed streams, so the first n' nodes of a longer run are
+    byte-identical to a run of size n' with the same seed.
     """
-    state = GrowthState(p.gamma, p.nu, seed)
-    state.grow_to(p.n)
-    return state.graph(), state.coords
+    t = np.arange(p.n, dtype=np.int64)
+    u = 1.0 - rng.uniform(seed, rng.TAG_GROW_COORD, t.astype(np.uint64))
+    if p.gamma == 2.0:
+        v = np.cumsum(-np.log(u) / (p.nu / 2.0))
+        x = 0.5 * np.log(2.0 * v)
+    else:
+        scale = p.beta * p.beta * p.nu
+        sizes = (t + 1).astype(float)
+        r_t = 0.5 * np.log(sizes / scale)
+        r_prev = 0.5 * np.log(np.maximum(sizes - 1.0, 1.0) / scale)
+        q = np.exp(-p.gamma * (r_t - r_prev))
+        q[0] = 0.0  # first increment is the whole support
+        x = r_t + np.log(q + u * (1.0 - q)) / p.gamma
+    rows = t[1:]
+    rid, ppos = _run_skip_rows(x, rows, np.zeros(rows.size, dtype=np.int64), rows,
+                               seed, rng.TAG_GROW_EDGE)
+    return _finish_edges(p.n, [rid], [ppos]), x

@@ -70,7 +70,8 @@ class DegreeLaw:
         recurrence runs down to 0 and up to k_max, each in its stable
         direction.  pi_k is taken in log space, so no term underflows before
         the pmf does.  Where the pmf has underflowed, (k - gamma) < 0 can turn
-        a subnormal into a negative value, so the output is clipped at 0.
+        a subnormal into a negative value, and where P_0 is 1 rounding can
+        land one ulp above it, so the output is clipped to [0, 1].
         """
         if k_max < 0 or k_max != int(k_max):
             raise DomainError(f"k_max must be a non-negative integer, got {k_max}")
@@ -88,7 +89,7 @@ class DegreeLaw:
         for k in range(seed, k_max):
             pk = ((k - gamma) * pk + gamma * pois[k]) / (k + 1)
             out[k + 1] = pk
-        return np.maximum(out, 0.0, out=out)
+        return np.clip(out, 0.0, 1.0, out=out)
 
 
 def expected_avg_degree_finite_n(p: EnsembleParams) -> float:
@@ -119,6 +120,8 @@ def finite_size_degree_tail(p: EnsembleParams, t):
     in the middle, and 0 above sqrt(nu n)*(1-eps_n), with
     eps_n = exp(-(gamma-1) r_n) - exp(-2 gamma r_n).  The base lo/t is
     clipped to 1 before the power, so no branch overflows at large gamma.
+    No expected degree reaches n - 1, so the tail is 0 from t = n - 1 on,
+    also where eps_n saturates at -inf and both cutoffs are +inf.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0.0):
@@ -126,5 +129,6 @@ def finite_size_degree_tail(p: EnsembleParams, t):
     eps = finite_size_epsilon(p)
     lo = p.pareto_scale * (1.0 - eps)
     hi = math.sqrt(p.nu * p.n) * (1.0 - eps)
-    out = np.where(t_arr > hi, 0.0, np.minimum(lo / t_arr, 1.0) ** p.gamma)
+    out = np.where((t_arr > hi) | (t_arr >= p.n - 1), 0.0,
+                   np.minimum(lo / t_arr, 1.0) ** p.gamma)
     return out if out.ndim else float(out)

@@ -237,6 +237,16 @@ class TestTheoryCmd:
         assert all(math.isfinite(summary[key]) for key in
                    ("expected_avg_degree_finite_n", "expected_avg_degree_asymptotic", "r_n"))
 
+    # no node's expected degree reaches n - 1 = 9; with eps_n at -inf both
+    # cutoffs used to be +inf, and the curve read 1 up to t = 1199
+    def test_tail_is_zero_from_n_minus_1(self, tmp_path):
+        assert run_cli("theory", "--gamma", 1000, "--nu", 1000, "--n", 10,
+                       "--k-max", 5, "--out", tmp_path) == 0
+        with open(tmp_path / "tail_curve.csv") as fh:
+            rows = [(float(t), float(v)) for t, v in list(csv.reader(fh))[1:]]
+        assert any(t >= 9.0 for t, _ in rows)
+        assert all(v == 0.0 for t, v in rows if t >= 9.0)
+
     # at n small against nu the upper cutoff sqrt(nu*n) falls below beta*nu/4,
     # and the grid used to run from 249.75 down to 120
     @pytest.mark.parametrize("gamma,nu,n", [(1000, 1000, 10), (2, 10, 10**6)])
@@ -322,6 +332,13 @@ class TestScmIngestAndErrors:
         bad = tmp_path / "bad.txt"
         bad.write_text("0 x\n")
         assert run_cli("ingest", "--path", bad, "--out", tmp_path) == 4
+
+    @pytest.mark.parametrize("args", [("generate", "--seed", 1), ("theory",)])
+    def test_out_is_a_file_exit_4(self, tmp_path, args):
+        # the --out directory is made before any command runs
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli(*args, "--gamma", 2, "--nu", 10, "--n", 50, "--out", taken) == 4
 
     def test_numerical_error_exit_3(self, tmp_path, monkeypatch):
         import hscm.cli as cli_mod

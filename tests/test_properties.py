@@ -12,7 +12,7 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hscm.cli import main
@@ -35,6 +35,8 @@ REPORT_FIELDS = ("sigma", "sigma_rescaled", "gibbs_lower", "gibbs_upper", "s_m",
 
 @given(gammas, nus, sizes, k_maxes)
 @settings(max_examples=500, deadline=None)
+# P(D = 0) rounded one ulp above 1 here
+@example(gamma=1.0000000000000002, nu=1e-6, n=1, k_max=0)
 def test_library_outputs_are_finite(gamma, nu, n, k_max):
     p = derive_params(gamma, nu, n)
     with warnings.catch_warnings():

@@ -12,7 +12,6 @@ from hscm.graphon import expected_degree_fn
 from hscm.params import derive_params
 from hscm.sampler import (
     Graph,
-    GrowthState,
     _run_skip_rows,
     sample_coordinates,
     sample_graph_fast,
@@ -133,13 +132,12 @@ class TestFastSampler:
         x = np.sort(c, kind="stable")
         n = p.n
         rows = np.arange(n - 1, dtype=np.int64)
-        full = _run_skip_rows(x, x[rows], rows, rows + 1,
-                              np.full(n - 1, n, dtype=np.int64), 77, rng.TAG_EDGE_FAST)
+        full = _run_skip_rows(x, rows, rows + 1, np.full(n - 1, n, dtype=np.int64),
+                              77, rng.TAG_EDGE_FAST)
         pieces = []
         for lo, hi in ((0, 100), (100, 101), (101, 799)):
             rr = np.arange(lo, hi, dtype=np.int64)
-            pieces.append(_run_skip_rows(x, x[rr], rr, rr + 1,
-                                         np.full(rr.size, n, dtype=np.int64),
+            pieces.append(_run_skip_rows(x, rr, rr + 1, np.full(rr.size, n, dtype=np.int64),
                                          77, rng.TAG_EDGE_FAST))
         merged_r = np.concatenate([a for a, _ in pieces])
         merged_p = np.concatenate([b for _, b in pieces])
@@ -264,7 +262,7 @@ class TestSkipEngine:
             rows = np.arange(n - 1, dtype=np.int64)
             start, stop, tag = rows + 1, np.full(rows.size, n, dtype=np.int64), rng.TAG_EDGE_FAST
         for seed in (5, 6):
-            got = _pairs_sorted(_run_skip_rows(x, x[rows], rows, start, stop, seed, tag))
+            got = _pairs_sorted(_run_skip_rows(x, rows, start, stop, seed, tag))
             want = _pairs_sorted(skip_rows_reference(x, x[rows], rows, start, stop, seed, tag))
             assert want[0].size > 0
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -290,32 +288,29 @@ class TestGrowingSampler:
         assert prefix(g_big, 1000).edges.tobytes() == g_small.edges.tobytes()
         assert c_big[:1000].tobytes() == c_small.tobytes()
 
-    def test_incremental_equals_one_shot(self):
-        state = GrowthState(2.0, 10.0, 606)
-        state.grow_to(300)
-        state.grow_to(900)
-        g_inc = state.graph()
-        g_one, _ = sample_graph_growing(derive_params(2.0, 10.0, 900), 606)
-        assert np.array_equal(g_inc.edges, g_one.edges)
-
     def test_poisson_position_mean(self):
-        # v_n is Gamma(n, delta): mean n / delta
+        # v_n = exp(2 x_n) / 2 is Gamma(n, delta): mean n / delta
         nu, n, reps = 10.0, 500, 200
         delta = nu / 2.0
         vals = []
         for r in range(reps):
-            st = GrowthState(2.0, nu, 90000 + r)
-            st.grow_to(n)
-            vals.append(st.v[-1])
+            _, x = sample_graph_growing(derive_params(2.0, nu, n), 90000 + r)
+            vals.append(0.5 * math.exp(2.0 * x[-1]))
         se = math.sqrt(n / delta**2 / reps)
         assert abs(np.mean(vals) - n / delta) <= 3.0 * se
 
     def test_coordinates_increasing_both_variants(self):
         for gamma in (2.0, 1.4):
-            st = GrowthState(gamma, 5.0, 3)
-            st.grow_to(2000)
-            assert np.all(np.diff(st.coords) > 0)
-            assert np.all(np.diff(st.v) > 0)
+            _, x = sample_graph_growing(derive_params(gamma, 5.0, 2000), 3)
+            assert np.all(np.diff(x) > 0)
+            assert np.all(np.diff(0.5 * np.exp(2.0 * x)) > 0)
+
+    @pytest.mark.parametrize("gamma", [2.0, 1.4])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_chain_is_valid(self, gamma, n):
+        g, x = sample_graph_growing(derive_params(gamma, 5.0, n), 11)
+        assert x.shape == (n,) and g.n == n
+        assert g.first_fault() is None
 
     def test_growing_matches_equilibrium_average_degree(self):
         p = derive_params(2.0, 10.0, 2000)
