@@ -5,9 +5,7 @@ graphon/Gibbs entropy numerics for the hypersoft configuration model.
 """
 
 from .entropy import (
-    AveragedGraphon,
     EntropyReport,
-    PartitionSpec,
     averaged_graphon,
     gibbs_entropy_bounds,
     graphon_entropy,

@@ -138,7 +138,7 @@ def cmd_entropy(cfg) -> int:
         rep = gibbs_entropy_bounds(p)
         rows.append((n, f"{rep.sigma:.12e}", f"{rep.sigma_rescaled:.8f}",
                      f"{rep.gibbs_lower_rescaled:.8f}", f"{rep.gibbs_upper_rescaled:.8f}",
-                     f"{rep.s_m:.8f}", rep.partition.m_n))
+                     f"{rep.s_m:.8f}", rep.m_n))
     hio.write_csv(os.path.join(cfg.out, "entropy.csv"),
                   ["n", "sigma", "n_sigma_over_log_n", "gibbs_lower_rescaled",
                    "gibbs_upper_rescaled", "s_m", "m_n"], rows)

@@ -24,48 +24,23 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import DomainError
-from .graphon import (bernoulli_entropy, bernoulli_entropy_logit, expectation_of_sum,
-                      w_fermi_dirac)
+from .graphon import bernoulli_entropy, bernoulli_entropy_logit, expectation_of_sum
 from .params import EnsembleParams
 from .quadrature import gauss_legendre_nodes
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Partition of the support (-inf, r_n] into m_n intervals.
-
-    rho[0] = -inf, rho[1] = -r_n, and rho[2..m_n] equally spaced up to r_n
-    with width 2 r_n / (m_n - 1).
-    """
-
-    m_n: int
-    rho: np.ndarray
-
-    @classmethod
-    def from_params(cls, p: EnsembleParams, m_n: int | None = None) -> "PartitionSpec":
-        if p.r_n <= 0.0:
-            raise DomainError("partition construction requires r_n > 0 (n > beta^2 nu)")
-        if m_n is None:
-            m_n = math.ceil(math.log(p.n) ** 2) + 1
-        if m_n < 2:
-            raise DomainError("partition needs at least 2 intervals")
-        rho = np.empty(m_n + 1)
-        rho[0] = -np.inf
-        rho[1:] = np.linspace(-p.r_n, p.r_n, m_n)
-        return cls(m_n=m_n, rho=rho)
+def partition(p: EnsembleParams, m_n: int) -> np.ndarray:
+    """Boundaries rho = [-inf, linspace(-r_n, r_n, m_n)] of m_n support intervals."""
+    if p.r_n <= 0.0 or m_n < 2:
+        raise DomainError(f"partition of gamma={p.gamma!r}, nu={p.nu!r}, n={p.n} needs "
+                          f"n > beta^2 nu = {p.beta**2 * p.nu:.6g} and m_n >= 2, got "
+                          f"m_n = {m_n}")
+    return np.concatenate(([-np.inf], np.linspace(-p.r_n, p.r_n, m_n)))
 
 
-def interval_masses(p: EnsembleParams, part: PartitionSpec) -> np.ndarray:
+def interval_masses(p: EnsembleParams, m_n: int) -> np.ndarray:
     """Latent-measure mass of each partition interval (sums to 1)."""
-    cdf_right = np.exp(np.minimum(p.gamma * (part.rho[1:] - p.r_n), 0.0))
-    cdf_left = np.concatenate(([0.0], cdf_right[:-1]))
-    return cdf_right - cdf_left
-
-
-def membership_entropy(p: EnsembleParams, part: PartitionSpec) -> float:
-    """Entropy S[M] of the interval-membership variable, from exact masses."""
-    masses = interval_masses(p, part)
-    return float(-np.sum(xlogy(masses, masses)))
+    return np.diff(np.exp(np.minimum(p.gamma * (partition(p, m_n) - p.r_n), 0.0)))
 
 
 def graphon_entropy(p: EnsembleParams, rtol: float = 1e-7) -> float:
@@ -73,24 +48,13 @@ def graphon_entropy(p: EnsembleParams, rtol: float = 1e-7) -> float:
     return expectation_of_sum(p, bernoulli_entropy_logit, rtol)
 
 
-@dataclass(frozen=True)
-class AveragedGraphon:
-    """Piecewise-constant kernel: the box averages of W over a partition."""
+def averaged_graphon(p: EnsembleParams, m_n: int, gl_order: int = 16) -> np.ndarray:
+    """Means of W and of H(W) over the partition boxes, shape (2, 3 m_n - 3).
 
-    params: EnsembleParams
-    part: PartitionSpec
-    masses: np.ndarray
-    box_values: np.ndarray  # (m_n, m_n), symmetric
-
-    def sigma(self) -> float:
-        """Graphon entropy of the averaged kernel (exact given the box values)."""
-        h = bernoulli_entropy(self.box_values)
-        return float(self.masses @ h @ self.masses)
-
-
-def averaged_graphon(p: EnsembleParams, part: PartitionSpec,
-                     gl_order: int = 16) -> AveragedGraphon:
-    """Average W over every partition box against the latent measure.
+    Row 0 holds the box means of W, row 1 those of H(W), on the same nodes.
+    Column 0 is the corner box (the first interval with itself), columns
+    1..m_n - 1 the first interval against finite interval t, and the last
+    2 m_n - 3 columns the finite x finite boxes (s, t) by s + t - 2.
 
     Finite intervals use Gauss-Legendre nodes in x weighted by the latent
     density, normalised in closed form; the unbounded first interval is
@@ -98,80 +62,78 @@ def averaged_graphon(p: EnsembleParams, part: PartitionSpec,
     uniform on (0, 1].  No weight is divided by an interval mass, which
     underflows to 0 at large gamma.  W depends on x + y only, and the finite
     intervals are translates of one another whose normalized density weights
-    agree, so a finite x finite box depends on s + t alone: 2 m_n - 3 such
-    values, m_n - 1 for the first row and one corner fill the symmetric matrix.
+    agree, so a finite x finite box depends on s + t alone.
     """
     gamma = p.gamma
-    m = part.m_n
-    widths = np.diff(part.rho[1:])
-    if np.ptp(widths) > 1e-10 * widths.max():
-        raise DomainError("averaged_graphon needs finite intervals of equal width")
+    rho = partition(p, m_n)
+    width = rho[2] - rho[1]
     un, w0 = gauss_legendre_nodes(0.0, 1.0, gl_order)
-    x0 = part.rho[1] + np.log(un) / gamma
-    x1, w1 = gauss_legendre_nodes(part.rho[1], part.rho[2], gl_order)
-    w1 = w1 * gamma * np.exp(gamma * (x1 - part.rho[2])) / -math.expm1(-gamma * widths[0])
-    shifts = widths[0] * np.arange(2 * m - 3)  # finite box (s, t) at shift index s + t - 2
+    x0 = rho[1] + np.log(un) / gamma
+    x1, w1 = gauss_legendre_nodes(rho[1], rho[2], gl_order)
+    w1 = w1 * gamma * np.exp(gamma * (x1 - rho[2])) / -math.expm1(-gamma * width)
+    shifts = width * np.arange(2 * m_n - 3)  # finite box (s, t) at shift index s + t - 2
 
-    def tensor_mean(xa, wa, xb, wb, shift):
-        kmat = w_fermi_dirac(shift[:, None, None] + xa[None, :, None], xb[None, None, :])
-        return np.einsum("i,j,cij->c", wa, wb, kmat)
+    def box_means(shift, x, weights):
+        s = shift[:, None] + x[None, :]
+        a = np.abs(s)
+        t = np.exp(-a)
+        u = 1.0 + t
+        w = t / u  # W(|s|)
+        h = np.log1p(t)
+        h += a * w  # H(W(s)) = log(1 + exp(-|s|)) + |s| W(|s|)
+        np.divide(1.0, u, out=w, where=s < 0.0)  # W(s) = 1 / (1 + exp(s)) for s < 0
+        return np.stack((w, h)) @ weights
 
-    finite = tensor_mean(x1, w1, x1, w1, shifts)
-    row = tensor_mean(x1, w1, x0, w0, shifts[:m - 1])
-    box = np.empty((m, m))
-    box[0, 0] = tensor_mean(x0, w0, x0, w0, np.zeros(1))[0]
-    box[0, 1:] = box[1:, 0] = row
-    idx = np.arange(m - 1)
-    box[1:, 1:] = finite[idx[:, None] + idx[None, :]]
-    box = np.clip(box, 0.0, 1.0)
-    return AveragedGraphon(params=p, part=part, masses=interval_masses(p, part),
-                           box_values=box)
+    i, j = np.triu_indices(gl_order)  # a box of one node set with itself is symmetric:
+    twice = np.where(i == j, 1.0, 2.0)  # each node pair once, off-diagonal weight doubled
+    return np.concatenate((box_means(np.zeros(1), x0[i] + x0[j], w0[i] * w0[j] * twice),
+                           box_means(shifts[:m_n - 1], np.add.outer(x1, x0).ravel(),
+                                     np.outer(w1, w0).ravel()),
+                           box_means(shifts, x1[i] + x1[j], w1[i] * w1[j] * twice)), axis=1)
 
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Graphon entropy with the Gibbs-entropy sandwich for one ensemble."""
+    """Graphon entropy with the Gibbs-entropy sandwich for one ensemble.
 
-    params: EnsembleParams
+    The rescaled bounds are 2 S / (n log n), and sigma_rescaled n sigma / log n.
+    """
+
     sigma: float
     sigma_rescaled: float
     gibbs_lower: float
     gibbs_upper: float
-    partition: PartitionSpec
+    gibbs_lower_rescaled: float
+    gibbs_upper_rescaled: float
+    m_n: int
     s_m: float
 
-    @property
-    def gibbs_lower_rescaled(self) -> float:
-        n = self.params.n
-        return 2.0 * self.gibbs_lower / (n * math.log(n))
 
-    @property
-    def gibbs_upper_rescaled(self) -> float:
-        n = self.params.n
-        return 2.0 * self.gibbs_upper / (n * math.log(n))
-
-
-def gibbs_entropy_bounds(p: EnsembleParams, rtol: float = 1e-7,
-                         part: PartitionSpec | None = None) -> EntropyReport:
+def gibbs_entropy_bounds(p: EnsembleParams) -> EntropyReport:
     """Lower and upper bounds on the Gibbs entropy of the size-n ensemble.
 
-    lower = C(n,2) * sigma; upper = n * S[M] + C(n,2) * sigma[averaged kernel]
-    with the standard partition (m_n = ceil(log^2 n) + 1 intervals).
+    lower = C(n,2) * sigma; with m_n = ceil(log^2 n) + 1 partition intervals,
+    upper = n * S[M] + C(n,2) * sigma[averaged kernel], written as
+
+        upper = lower + n * S[M] + C(n,2) * sum_ab m_a m_b (H(Wbar_ab) - Hbar_ab)
+
+    with Wbar and Hbar the box means of W and H(W).  H is concave, so each
+    box's excess is non-negative by Jensen; clipped at 0 against rounding, it
+    makes upper >= lower hold exactly.
     """
-    if part is None:
-        part = PartitionSpec.from_params(p)
-    sigma = graphon_entropy(p, rtol=rtol)
-    avg = averaged_graphon(p, part)
-    s_m = membership_entropy(p, part)
+    m_n = math.ceil(math.log(p.n) ** 2) + 1
+    masses = interval_masses(p, m_n)
+    s_m = float(-np.sum(xlogy(masses, masses)))
+    sigma = graphon_entropy(p)
+    w_bar, h_bar = averaged_graphon(p, m_n)
+    excess = np.maximum(bernoulli_entropy(np.clip(w_bar, 0.0, 1.0)) - h_bar, 0.0)
+    m0, fin = masses[0], masses[1:]
+    box_mass = np.concatenate(([m0 * m0], 2.0 * m0 * fin, np.convolve(fin, fin)))
     pairs = 0.5 * p.n * (p.n - 1)
     lower = pairs * sigma
-    upper = p.n * s_m + pairs * avg.sigma()
-    return EntropyReport(
-        params=p,
-        sigma=sigma,
-        sigma_rescaled=p.n * sigma / math.log(p.n),
-        gibbs_lower=lower,
-        gibbs_upper=upper,
-        partition=part,
-        s_m=s_m,
-    )
+    upper = lower + p.n * s_m + pairs * float(box_mass @ excess)
+    n_log_n = p.n * math.log(p.n)
+    return EntropyReport(sigma=sigma, sigma_rescaled=p.n * sigma / math.log(p.n),
+                         gibbs_lower=lower, gibbs_upper=upper,
+                         gibbs_lower_rescaled=2.0 * lower / n_log_n,
+                         gibbs_upper_rescaled=2.0 * upper / n_log_n, m_n=m_n, s_m=s_m)

@@ -17,9 +17,9 @@ a 1D Gamma(2, gamma) integral and evaluates kappa_n by scipy's hyp2f1:
 * the SCM oracles build the dense n x n probability matrix with scipy's
   expit, where the solver works over degree classes.
 
-bracket_bounds, deviation_log_slope, expected_avg_degree_classical,
-negative_mass, refine_doubled, tail_mass_bound and truncation_k are closed
-forms, fits and helpers that only the tests use.
+box_matrix, bracket_bounds, deviation_log_slope,
+expected_avg_degree_classical, negative_mass, refine_doubled, tail_mass_bound
+and truncation_k are closed forms, fits and helpers that only the tests use.
 
 skip_rows_reference is the skip engine as sampler._run_skip_rows stood
 before it hashed each row's stream prefix once and finished the last few
@@ -44,7 +44,7 @@ import numpy as np
 from scipy import integrate, special
 from scipy.special import xlogy
 
-from hscm.entropy import PartitionSpec, graphon_entropy, interval_masses
+from hscm.entropy import graphon_entropy, interval_masses, partition
 from hscm.errors import DomainError
 from hscm import rng
 from hscm.graphon import _logistic_neg, bernoulli_entropy, expectation_of_sum, w_fermi_dirac
@@ -444,23 +444,23 @@ def box_average_oracle(p, a, b, c, d, kernel):
     return val / (mass_x * mass_y)
 
 
-def averaged_box_oracle(p, part, kernel=w_fermi_dirac, gl_order=16):
+def averaged_box_oracle(p, m, kernel=w_fermi_dirac, gl_order=16):
     """Box values of the averaged kernel, one Gauss-Legendre tensor per box.
 
     Builds nodes and weights on every interval and sums a full row of boxes
     at a time, with no use of the x + y or translation structure.
     """
     gamma, r_n = p.gamma, p.r_n
-    m = part.m_n
-    masses = interval_masses(p, part)
+    rho = partition(p, m)
+    masses = interval_masses(p, m)
     nodes = np.empty((m, gl_order))
     weights = np.empty((m, gl_order))
-    u1 = math.exp(gamma * (part.rho[1] - r_n))
+    u1 = math.exp(gamma * (rho[1] - r_n))
     un, uw = gauss_legendre_nodes(0.0, u1, gl_order)
     nodes[0] = r_n + np.log(un) / gamma
     weights[0] = uw
     for t in range(1, m):
-        xn, xw = gauss_legendre_nodes(part.rho[t], part.rho[t + 1], gl_order)
+        xn, xw = gauss_legendre_nodes(rho[t], rho[t + 1], gl_order)
         nodes[t] = xn
         weights[t] = xw * gamma * np.exp(gamma * (xn - r_n))
     flat_nodes = nodes.ravel()
@@ -474,23 +474,33 @@ def averaged_box_oracle(p, part, kernel=w_fermi_dirac, gl_order=16):
     return np.clip(box, 0.0, 1.0)
 
 
-def refine_doubled(part):
-    """Nested refinement of a PartitionSpec: every finite interval halved."""
-    m2 = 2 * (part.m_n - 1) + 1
-    rho = np.empty(m2 + 1)
-    rho[0] = -np.inf
-    rho[1:] = np.linspace(part.rho[1], part.rho[-1], m2)
-    return PartitionSpec(m_n=m2, rho=rho)
+def box_matrix(values, m_n):
+    """Symmetric m_n x m_n box matrix from one row of averaged_graphon's output.
+
+    values holds the corner, the first row against the m_n - 1 finite
+    intervals, then the 2 m_n - 3 finite x finite boxes by s + t - 2.
+    """
+    box = np.empty((m_n, m_n))
+    box[0, 0] = values[0]
+    box[0, 1:] = box[1:, 0] = values[1:m_n]
+    idx = np.arange(m_n - 1)
+    box[1:, 1:] = values[m_n:][idx[:, None] + idx[None, :]]
+    return np.clip(box, 0.0, 1.0)
 
 
-def bracket_bounds(avg):
-    """(min, max) of W under an AveragedGraphon on every box.
+def refine_doubled(m_n):
+    """Interval count of the nested refinement that halves every finite interval."""
+    return 2 * (m_n - 1) + 1
+
+
+def bracket_bounds(rho):
+    """(min, max) of W on every box of the partition with boundaries rho.
 
     W decreases in x + y, so on box (s, t) the extremes sit at the corners
     rho[s+1] + rho[t+1] (min) and rho[s] + rho[t] (max).
     """
-    right = avg.part.rho[1:]
-    left = avg.part.rho[:-1]
+    right = rho[1:]
+    left = rho[:-1]
     return (w_fermi_dirac(right[:, None], right[None, :]),
             w_fermi_dirac(left[:, None], left[None, :]))
 

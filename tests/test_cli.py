@@ -201,6 +201,14 @@ class TestEntropyCmd:
         assert upper == pytest.approx([8.03307364, 8.86765935], abs=2e-8)
         assert all(float(r[3]) <= float(r[4]) for r in rows)
 
+    def test_partition_error_names_the_size(self, tmp_path, capsys):
+        # beta^2 nu = 250: n = 100 has no positive support end r_n
+        assert run_cli("entropy", "--gamma", 2, "--nu", 1000,
+                       "--sizes", "100,1000", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "gamma=2.0, nu=1000.0, n=100 " in err
+        assert "beta^2 nu = 250" in err
+
 
 class TestTheoryCmd:
     # x = beta*nu near 0: the seed quadrature's integrand used to peak
@@ -344,7 +352,7 @@ class TestScmIngestAndErrors:
         import hscm.cli as cli_mod
         from hscm.errors import QuadratureError
 
-        def boom(p, rtol=1e-7, part=None):
+        def boom(p):
             raise QuadratureError("synthetic failure")
 
         monkeypatch.setattr(cli_mod, "gibbs_entropy_bounds", boom)

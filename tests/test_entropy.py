@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     averaged_box_oracle,
     box_average_oracle,
+    box_matrix,
     bracket_bounds,
     classical_entropy_of_sum,
     deviation_log_slope,
@@ -19,18 +20,23 @@ from oracles import (
     verify_graphon_maximality,
 )
 from hscm.entropy import (
-    PartitionSpec,
     averaged_graphon,
     gibbs_entropy_bounds,
     graphon_entropy,
     interval_masses,
-    membership_entropy,
+    partition,
 )
 from hscm.errors import DomainError
-from hscm.graphon import bernoulli_entropy, expectation_of_sum, w_fermi_dirac
+from hscm.graphon import (bernoulli_entropy, bernoulli_entropy_logit, expectation_of_sum,
+                          w_fermi_dirac)
 from hscm.params import derive_params, mu_n_quantile
 
 G2 = [derive_params(2.0, 10.0, n) for n in (10**3, 10**4, 10**5, 10**6)]
+
+
+def standard_m_n(p):
+    """The interval count ceil(log^2 n) + 1 that the Gibbs bounds use."""
+    return math.ceil(math.log(p.n) ** 2) + 1
 
 
 class TestGraphonEntropy:
@@ -125,19 +131,23 @@ class TestRescaledSeries:
 class TestPartition:
     def test_spec_construction(self):
         p = derive_params(2.0, 10.0, 10**6)
-        part = PartitionSpec.from_params(p)
-        assert part.m_n == math.ceil(math.log(10**6) ** 2) + 1
-        assert part.rho[0] == -np.inf
-        assert part.rho[1] == pytest.approx(-p.r_n)
-        widths = np.diff(part.rho[1:])
-        assert np.allclose(widths, 2 * p.r_n / (part.m_n - 1))
-        masses = interval_masses(p, part)
+        rep = gibbs_entropy_bounds(p)
+        assert rep.m_n == math.ceil(math.log(10**6) ** 2) + 1
+        rho = partition(p, rep.m_n)
+        assert rho[0] == -np.inf
+        assert rho[1] == pytest.approx(-p.r_n)
+        widths = np.diff(rho[1:])
+        assert np.allclose(widths, 2 * p.r_n / (rep.m_n - 1))
+        masses = interval_masses(p, rep.m_n)
         assert masses.sum() == pytest.approx(1.0, abs=1e-12)
-        assert membership_entropy(p, part) <= math.log(part.m_n)
+        assert rep.s_m <= math.log(rep.m_n)
 
     def test_requires_positive_boundary(self):
-        with pytest.raises(DomainError):
-            PartitionSpec.from_params(derive_params(2.0, 16.0, 3))
+        # n = 3 < beta^2 nu = 4 gives r_n <= 0; a single node gives m_n = 1
+        with pytest.raises(DomainError, match=r"gamma=2.0, nu=16.0, n=3 .* beta\^2 nu = 4 "):
+            gibbs_entropy_bounds(derive_params(2.0, 16.0, 3))
+        with pytest.raises(DomainError, match=r"gamma=2.0, nu=1.0, n=1 .* m_n = 1$"):
+            gibbs_entropy_bounds(derive_params(2.0, 1.0, 1))
 
 
 class TestAveragedGraphon:
@@ -145,57 +155,62 @@ class TestAveragedGraphon:
         from hscm.graphon import mean_kernel_value
 
         p = derive_params(2.0, 10.0, 10**3)
-        part = PartitionSpec(m_n=2, rho=np.array([-np.inf, -p.r_n, p.r_n]))
-        avg = averaged_graphon(p, part, gl_order=40)
+        box = box_matrix(averaged_graphon(p, 2, gl_order=40)[0], 2)
+        masses = interval_masses(p, 2)
         mean = mean_kernel_value(p)
         # the (2,2) box carries almost all the mass and must match E[W]
-        assert avg.box_values[1, 1] == pytest.approx(mean, rel=1e-3)
-        total = float(avg.masses @ avg.box_values @ avg.masses)
+        assert box[1, 1] == pytest.approx(mean, rel=1e-3)
+        total = float(masses @ box @ masses)
         # Gauss-Legendre on the CDF-mapped unbounded interval is algebraically
         # (not spectrally) convergent, so allow 1e-7 here
         assert total == pytest.approx(mean, rel=1e-7)
 
     def test_box_values_bracketed_by_kernel_range(self):
         p = derive_params(2.0, 10.0, 10**4)
-        part = PartitionSpec.from_params(p)
-        avg = averaged_graphon(p, part)
-        kmin, kmax = bracket_bounds(avg)
-        assert np.all(avg.box_values >= kmin - 1e-12)
-        assert np.all(avg.box_values <= kmax + 1e-12)
+        m = standard_m_n(p)
+        box = box_matrix(averaged_graphon(p, m)[0], m)
+        kmin, kmax = bracket_bounds(partition(p, m))
+        assert np.all(box >= kmin - 1e-12)
+        assert np.all(box <= kmax + 1e-12)
 
     def test_box_average_against_dblquad_oracle(self):
         p = derive_params(2.0, 10.0, 10**3)
-        part = PartitionSpec.from_params(p)
-        avg = averaged_graphon(p, part)
-        m = part.m_n
+        m = standard_m_n(p)
+        rho = partition(p, m)
+        box = box_matrix(averaged_graphon(p, m)[0], m)
         for s, t in ((1, 1), (m - 1, m - 1), (2, m - 2), (m // 2, m // 2)):
-            ref = box_average_oracle(p, part.rho[s], part.rho[s + 1],
-                                     part.rho[t], part.rho[t + 1], w_fermi_dirac)
-            assert avg.box_values[s, t] == pytest.approx(ref, rel=1e-9)
+            ref = box_average_oracle(p, rho[s], rho[s + 1], rho[t], rho[t + 1],
+                                     w_fermi_dirac)
+            assert box[s, t] == pytest.approx(ref, rel=1e-9)
 
     @pytest.mark.parametrize("gamma,nu", [(2.0, 10.0), (1.1, 4.92)])
     @pytest.mark.parametrize("n", [10**3, 10**5])
     def test_box_sums_match_all_box_oracle(self, gamma, nu, n):
         p = derive_params(gamma, nu, n)
-        part = PartitionSpec.from_params(p)
-        got = averaged_graphon(p, part).box_values
-        ref = averaged_box_oracle(p, part)
+        m = standard_m_n(p)
+        got = box_matrix(averaged_graphon(p, m)[0], m)
+        ref = averaged_box_oracle(p, m)
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
-    def test_unequal_finite_widths_rejected(self):
-        p = derive_params(2.0, 10.0, 10**3)
-        rho = np.array([-np.inf, -p.r_n, -1.0, 0.5, p.r_n])
-        with pytest.raises(DomainError):
-            averaged_graphon(p, PartitionSpec(m_n=4, rho=rho))
+    @pytest.mark.parametrize("gamma,nu,n", [(2.0, 10.0, 10**5), (1.1, 4.92, 10**3)])
+    def test_entropy_box_means_match_all_box_oracle(self, gamma, nu, n):
+        # the second row, the box means of H(W) that the Gibbs upper bound uses
+        p = derive_params(gamma, nu, n)
+        m = standard_m_n(p)
+        got = box_matrix(averaged_graphon(p, m)[1], m)
+        ref = averaged_box_oracle(p, m, kernel=lambda x, y: bernoulli_entropy_logit(x + y))
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_refinement_decreases_sigma_toward_graphon_entropy(self):
         p = derive_params(2.0, 10.0, 10**4)
         sigma = graphon_entropy(p)
-        part = PartitionSpec.from_params(p, m_n=12)
+        m = 12
         values = []
         for _ in range(4):
-            values.append(averaged_graphon(p, part).sigma())
-            part = refine_doubled(part)
+            masses = interval_masses(p, m)
+            h = bernoulli_entropy(box_matrix(averaged_graphon(p, m)[0], m))
+            values.append(float(masses @ h @ masses))
+            m = refine_doubled(m)
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         assert all(v >= sigma - 1e-12 for v in values)
         assert values[-1] == pytest.approx(sigma, rel=0.01)
@@ -208,7 +223,7 @@ class TestGibbsBounds:
             pairs = 0.5 * p.n * (p.n - 1)
             assert rep.gibbs_lower <= rep.gibbs_upper
             assert rep.sigma > 0.0
-            assert rep.s_m <= math.log(rep.partition.m_n)
+            assert rep.s_m <= math.log(rep.m_n)
             # the lower bound is C(n,2) sigma by construction
             assert rep.gibbs_lower == pytest.approx(pairs * rep.sigma, rel=1e-12)
 

@@ -2,10 +2,8 @@
 
 The documented domain is gamma in (1, 1e3], nu in [1e-9, 1e6], n in
 [1, 1e18] and k_max in [0, 1000].  A RuntimeWarning (overflow, invalid
-value, division by zero) counts as a failure.  The Gibbs sandwich order
-lower <= upper is not asserted: the averaged graphon under-resolves the
-latent density when gamma times the interval width is large, so that
-bound can fall below the lower one (e.g. gamma = 1000, nu = 1, n = 1e6).
+value, division by zero) counts as a failure.  The Gibbs entropy bounds
+must also keep their order, lower <= upper.
 """
 
 import math
@@ -37,6 +35,12 @@ REPORT_FIELDS = ("sigma", "sigma_rescaled", "gibbs_lower", "gibbs_upper", "s_m",
 @settings(max_examples=500, deadline=None)
 # P(D = 0) rounded one ulp above 1 here
 @example(gamma=1.0000000000000002, nu=1e-6, n=1, k_max=0)
+# the averaged kernel's 16 nodes per interval cannot follow the latent
+# density when gamma times the interval width is large; the Gibbs upper
+# bound taken as n S[M] + C(n,2) sigma[averaged kernel] fell below the lower
+@example(gamma=1000.0, nu=1.0, n=10**6, k_max=0)
+@example(gamma=30.0, nu=1e-9, n=10, k_max=0)
+@example(gamma=1000.0, nu=1e-9, n=10**6, k_max=0)
 def test_library_outputs_are_finite(gamma, nu, n, k_max):
     p = derive_params(gamma, nu, n)
     with warnings.catch_warnings():
@@ -53,6 +57,7 @@ def test_library_outputs_are_finite(gamma, nu, n, k_max):
             return
         for field in REPORT_FIELDS:
             assert math.isfinite(getattr(report, field)), field
+        assert report.gibbs_lower <= report.gibbs_upper
 
 
 @given(gammas, nus, sizes, k_maxes)
@@ -63,4 +68,15 @@ def test_theory_command_exits_0_or_2(tmp_path_factory, gamma, nu, n, k_max):
         warnings.simplefilter("error", RuntimeWarning)
         code = main(["theory", "--gamma", repr(gamma), "--nu", repr(nu), "--n", str(n),
                      "--k-max", str(k_max), "--t-points", "20", "--out", str(out)])
+    assert code in (0, 2)
+
+
+@given(gammas, nus, sizes)
+@settings(max_examples=100, deadline=None)
+def test_entropy_command_exits_0_or_2(tmp_path_factory, gamma, nu, n):
+    out = tmp_path_factory.mktemp("entropy")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["entropy", "--gamma", repr(gamma), "--nu", repr(nu), "--sizes", str(n),
+                     "--out", str(out)])
     assert code in (0, 2)
