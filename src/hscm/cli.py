@@ -7,16 +7,18 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import operator
 import os
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import io as hio
-from . import rng
 from .entropy import gibbs_entropy_bounds
 from .errors import (
     ConvergenceError,
@@ -26,48 +28,79 @@ from .errors import (
     QuadratureError,
     SizeGuardError,
 )
+from .graphon import mean_kernel_value
 from .params import derive_params
-from .sampler import sample_coordinates, sample_graph_fast, sample_graph_growing, \
-    sample_graph_naive
+from .sampler import sample_coordinates, sample_replica
 from .scm import hscm_to_scm, solve_scm
 from .stats import compare_to_theory, degree_histogram, ingest_edge_list, tail_exponent_fit
 from .theory import DegreeLaw, expected_avg_degree_finite_n, finite_size_degree_tail
 
 
-def _replica_seeds(seed: int, index: int):
-    return (rng.subseed(seed, rng.TAG_REPLICA, 2 * index),
-            rng.subseed(seed, rng.TAG_REPLICA, 2 * index + 1))
+# Peak bytes of sampling one replica, from tracemalloc of sample_replica at
+# n=1e6.  Node-bound runs peak at 266 bytes per node (fast, gamma=2, nu=0.1)
+# and 347 (growing, gamma=1.1), of which 128 are output capacity the skip
+# engine reserves and never writes; edge-bound runs add 32 bytes per edge
+# (fast, gamma=2, nu=40: 704 MB for 20.0M edges).  The sum of the written
+# parts bounds each peak measured; at nu=10 the process peaks at 268 MB.
+_BYTES_PER_NODE = 220
+_BYTES_PER_EDGE = 32
+# The growing sampler at gamma != 2 matches the equilibrium edge count only
+# asymptotically; at n=1e5 it draws 0.08 (gamma=1.1) to 3.8 (gamma=50) times
+# as many edges, so its edge estimate is taken this many times over.
+_GROWING_HEADROOM = 4
 
 
-def _generate_one(args_tuple):
-    gamma, nu, n, seed, index, variant = args_tuple
-    p = derive_params(gamma, nu, n)
-    coord_seed, edge_seed = _replica_seeds(seed, index)
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_memory(p, variant, workers):
+    """SizeGuardError unless `workers` replicas of p can be sampled at once in RAM.
+
+    The expected edge count of a replica is C(n, 2) * E[W].
+    """
+    edges = 0.5 * p.n * (p.n - 1) * mean_kernel_value(p)
+    headroom = _GROWING_HEADROOM if variant == "growing" and p.gamma != 2.0 else 1
+    need = workers * (_BYTES_PER_NODE * p.n + _BYTES_PER_EDGE * headroom * edges)
+    have = _physical_memory()
+    if need > have:
+        raise SizeGuardError(
+            f"not enough memory for n={p.n}: gamma={p.gamma:g}, nu={p.nu:g} expect "
+            f"{edges:.3g} edges per replica; sampling {workers} at once needs about "
+            f"{need:.3g} bytes, more than the {have:.3g} bytes of physical memory")
+
+
+def _timed_replica(p, seed, variant, index):
     t0 = time.perf_counter()
-    if variant == "growing":
-        graph, _ = sample_graph_growing(p, coord_seed)
-    else:
-        coords = sample_coordinates(p, coord_seed)
-        if variant == "naive":
-            graph = sample_graph_naive(coords, edge_seed)
-        else:
-            graph = sample_graph_fast(coords, edge_seed)
+    graph = sample_replica(p, seed, index, variant)
     return graph, time.perf_counter() - t0
 
 
-def _generate_graphs(cfg):
-    """(graph, wall seconds) of each replica, in replica order."""
-    jobs = [(cfg.gamma, cfg.nu, cfg.n, cfg.seed, i, cfg.sampler)
-            for i in range(cfg.replicas)]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            return list(pool.map(_generate_one, jobs))
-    return [_generate_one(j) for j in jobs]
+def _generate_graphs(cfg, p):
+    """(graph, wall seconds) of each replica in replica order, after _check_memory.
+
+    Samples in this process when min(--jobs, --replicas, CPUs) is 1, else in
+    that many worker processes with one replica pending on each.
+    """
+    workers = min(cfg.jobs, cfg.replicas, os.cpu_count() or 1)
+    _check_memory(p, cfg.sampler, workers)
+    task = functools.partial(_timed_replica, p, cfg.seed, cfg.sampler)
+    if workers == 1:
+        yield from map(task, range(cfg.replicas))
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(task, i) for i in range(workers))
+        for i in range(cfg.replicas):
+            result = pending.popleft().result()
+            if i + workers < cfg.replicas:
+                pending.append(pool.submit(task, i + workers))
+            yield result
 
 
 def cmd_generate(cfg) -> int:
+    p = derive_params(cfg.gamma, cfg.nu, cfg.n)
     replicas = []
-    for index, (graph, wall) in enumerate(_generate_graphs(cfg)):
+    for index, (graph, wall) in enumerate(_generate_graphs(cfg, p)):
         path = os.path.join(cfg.out, f"graph_{index:03d}.edges")
         hio.write_edge_list(path, graph, cfg.seed)
         replicas.append({
@@ -92,17 +125,16 @@ def cmd_generate(cfg) -> int:
 def cmd_degrees(cfg) -> int:
     p = derive_params(cfg.gamma, cfg.nu, cfg.n)
     if cfg.input_dir:
-        graphs = []
-        for name in sorted(os.listdir(cfg.input_dir)):
-            if name.endswith(".edges"):
-                graphs.append(hio.read_edge_list(os.path.join(cfg.input_dir, name)))
-        if not graphs:
+        paths = [os.path.join(cfg.input_dir, name)
+                 for name in sorted(os.listdir(cfg.input_dir)) if name.endswith(".edges")]
+        if not paths:
             raise DomainError(f"no .edges files under {cfg.input_dir}")
+        graphs = map(hio.read_edge_list, paths)
     else:
-        graphs = [g for g, _ in _generate_graphs(cfg)]
-    if graphs[0].n != cfg.n:
-        raise DomainError(f"graphs have n={graphs[0].n} but --n is {cfg.n}")
+        graphs = map(operator.itemgetter(0), _generate_graphs(cfg, p))
     hist = degree_histogram(graphs)
+    if hist.n != cfg.n:
+        raise DomainError(f"graphs have n={hist.n} but --n is {cfg.n}")
     report = compare_to_theory(hist, p, k_max=cfg.k_max)
     q_asym, q_fin = report.pmf_asymptotic, report.pmf_finite_n
     pe = hist.pmf()

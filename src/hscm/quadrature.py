@@ -11,16 +11,16 @@ from scipy.special import roots_legendre
 from .errors import QuadratureError
 
 
-def quad_checked(f, a, b, rtol=1e-10, atol=0.0, points=None, limit=200):
+def quad_checked(f, a, b, rtol=1e-10, points=None, limit=200):
     """scipy.integrate.quad that raises QuadratureError instead of warning.
 
-    The error estimate must satisfy abserr <= max(atol, rtol * |value|); that
+    The error estimate must satisfy abserr <= rtol * |value|; that
     check alone decides the outcome, so scipy's IntegrationWarning is
     suppressed.  `points` are interior break points (ignored when the interval
     is infinite, as required by scipy).
     """
     infinite = np.isinf(a) or np.isinf(b)
-    kwargs = {"epsabs": atol if atol > 0 else 1e-300, "epsrel": rtol, "limit": limit}
+    kwargs = {"epsabs": 1e-300, "epsrel": rtol, "limit": limit}
     if points is not None and not infinite:
         pts = [float(t) for t in points if min(a, b) < t < max(a, b)]
         if pts:
@@ -30,7 +30,7 @@ def quad_checked(f, a, b, rtol=1e-10, atol=0.0, points=None, limit=200):
         value, abserr = integrate.quad(f, a, b, full_output=0, **kwargs)
     if not np.isfinite(value):
         raise QuadratureError(f"quadrature on [{a}, {b}] returned non-finite value {value}")
-    if abserr > max(atol, rtol * abs(value), 1e-300):
+    if abserr > max(rtol * abs(value), 1e-300):
         raise QuadratureError(
             f"quadrature on [{a}, {b}]: error estimate {abserr:.3e} exceeds "
             f"tolerance rtol={rtol:g} for value {value:.6e}"

@@ -79,21 +79,23 @@ def edge_keys(n: int, a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    return np.minimum(a, b) * np.int64(n) + np.maximum(a, b)
+    keys = np.minimum(a, b)  # min*n + max == min*(n-1) + a + b, with no temporary
+    keys *= n - 1
+    keys += a
+    keys += b
+    return keys
 
 
 def edges_from_keys(n: int, keys: np.ndarray) -> np.ndarray:
     """The (m, 2) int32 edge array of canonical keys, in key order."""
     edges = np.empty((keys.size, 2), dtype=np.int32)
-    edges[:, 0] = keys // n
-    edges[:, 1] = keys % n
+    np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
     return edges
 
 
-def _finish_edges(n: int, rows: list, cols: list) -> Graph:
-    if not rows:
-        return Graph(n=n, edges=np.empty((0, 2), dtype=np.int32))
-    keys = np.sort(edge_keys(n, np.concatenate(rows), np.concatenate(cols)))
+def _finish_edges(n: int, keys: np.ndarray) -> Graph:
+    """The graph of an int64 array of canonical edge keys, which it sorts in place."""
+    keys.sort()
     return Graph(n=n, edges=edges_from_keys(n, keys))
 
 
@@ -110,7 +112,7 @@ def sample_graph_naive(x: np.ndarray, seed: int) -> Graph:
         raise SizeGuardError(f"naive sampler is quadratic; n={n} exceeds {NAIVE_SIZE_GUARD}")
     counts = np.arange(n - 1, 0, -1, dtype=np.int64)  # pairs (i, j > i) of row i
     ends = np.cumsum(counts)
-    rows, cols = [], []
+    keys = [np.empty(0, dtype=np.int64)]
     r0 = 0
     while r0 < n - 1:
         first = int(ends[r0] - counts[r0])
@@ -120,10 +122,25 @@ def sample_graph_naive(x: np.ndarray, seed: int) -> Graph:
         j = k - (ends[i] - counts[i]) + i + 1
         u = rng.uniform(seed, rng.TAG_EDGE_NAIVE, i.astype(np.uint64), j.astype(np.uint64))
         hit = u < _logistic_neg(x[i] + x[j])
-        rows.append(i[hit])
-        cols.append(j[hit])
+        keys.append(edge_keys(n, i[hit], j[hit]))
         r0 = r1
-    return _finish_edges(n, rows, cols)
+    return _finish_edges(n, np.concatenate(keys))
+
+
+def _put(buf: np.ndarray, m: int, values) -> np.ndarray:
+    """buf with values written from position m on, in a copy of twice the size if full.
+
+    The skip engine gathers its accepted pairs in one large buffer per column
+    this way; one small array per batch scatters over the heap and fragments
+    it from one replica to the next.
+    """
+    k = len(values)
+    if m + k > buf.size:
+        grown = np.empty(max(2 * buf.size, m + k), dtype=buf.dtype)
+        grown[:m] = buf[:m]
+        buf = grown
+    buf[m:m + k] = values
+    return buf
 
 
 def _run_skip_rows(xs: np.ndarray, row_ids: np.ndarray, start: np.ndarray,
@@ -142,20 +159,22 @@ def _run_skip_rows(xs: np.ndarray, row_ids: np.ndarray, start: np.ndarray,
     float operations.  Returns (row_id, position) arrays of accepted
     candidates, in no particular order.
     """
-    pos = start.astype(np.int64).copy()
-    stp = stop.astype(np.int64)
-    alive = pos < stp
-    idx = np.nonzero(alive)[0]
-    pos = pos[idx]
-    stp = stp[idx]
+    idx = np.nonzero(start < stop)[0]
+    pos = start[idx].astype(np.int64, copy=False)
+    stp = stop[idx].astype(np.int64, copy=False)
     rid = row_ids[idx].astype(np.uint64)
+    del idx
     rx = xs[rid]
     pre = rng.hash_u64(seed, tag, rid)
-    ctr = np.zeros(idx.size, dtype=np.uint64)
+    ctr = np.zeros(rid.size, dtype=np.uint64)
 
     s = rx + xs[pos]
     pb = np.where(s <= 0.0, 1.0, np.exp(-np.clip(s, 0.0, None)))
-    out_r, out_p = [], []
+    # Room for 8 accepted pairs per row (average degree 16) before _put must
+    # regrow; pages never written take no memory.
+    out_r = np.empty(max(1 << 16, 8 * rid.size), dtype=np.int64)
+    out_p = np.empty(out_r.size, dtype=np.int64)
+    m = 0
     one = np.uint64(1)
 
     while pos.size > _SCALAR_ROWS:
@@ -184,8 +203,9 @@ def _run_skip_rows(xs: np.ndarray, row_ids: np.ndarray, start: np.ndarray,
         ctr += one
         acc = u2 * pb < w
         if acc.any():
-            out_r.append(rid[acc].astype(np.int64))
-            out_p.append(pos[acc].copy())
+            out_r = _put(out_r, m, rid[acc])
+            out_p = _put(out_p, m, pos[acc])
+            m += int(np.count_nonzero(acc))
 
         # Tighten the bound to the just-visited position and advance.
         pb = np.where(s <= 0.0, 1.0, np.exp(-np.clip(s, 0.0, None)))
@@ -198,12 +218,11 @@ def _run_skip_rows(xs: np.ndarray, row_ids: np.ndarray, start: np.ndarray,
     for r in range(pos.size):
         hits = _finish_row(xs, int(pos[r]), int(stp[r]), float(rx[r]), int(pre[r]),
                            int(ctr[r]), float(pb[r]))
-        out_r.append(np.full(len(hits), rid[r], dtype=np.int64))
-        out_p.append(np.array(hits, dtype=np.int64))
+        out_r = _put(out_r, m, np.full(len(hits), rid[r]))
+        out_p = _put(out_p, m, hits)
+        m += len(hits)
 
-    if out_r:
-        return np.concatenate(out_r), np.concatenate(out_p)
-    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return out_r[:m], out_p[:m]
 
 
 def _finish_row(xs, pos, stop, rx, prefix, ctr, pb):
@@ -249,10 +268,14 @@ def sample_graph_fast(x: np.ndarray, seed: int) -> Graph:
     n = x.size
     order = np.argsort(x, kind="stable")
     xs = x[order]
-    rows = np.arange(max(n - 1, 0), dtype=np.int64)
-    rid, ppos = _run_skip_rows(xs, rows, rows + 1, np.full(rows.size, n, dtype=np.int64),
+    ids = np.arange(n, dtype=np.int64)  # row i scans positions i+1..n-1
+    rid, ppos = _run_skip_rows(xs, ids[:-1], ids[1:], np.broadcast_to(n, ids[1:].shape),
                                seed, rng.TAG_EDGE_FAST)
-    return _finish_edges(n, [order[rid]], [order[ppos]])
+    rid = order[rid]
+    ppos = order[ppos]
+    keys = edge_keys(n, rid, ppos)
+    del rid, ppos  # freed before the edge array is made
+    return _finish_edges(n, keys)
 
 
 def sample_graph_growing(p: EnsembleParams, seed: int):
@@ -281,6 +304,21 @@ def sample_graph_growing(p: EnsembleParams, seed: int):
         q[0] = 0.0  # first increment is the whole support
         x = r_t + np.log(q + u * (1.0 - q)) / p.gamma
     rows = t[1:]
-    rid, ppos = _run_skip_rows(x, rows, np.zeros(rows.size, dtype=np.int64), rows,
+    rid, ppos = _run_skip_rows(x, rows, np.broadcast_to(0, rows.shape), rows,
                                seed, rng.TAG_GROW_EDGE)
-    return _finish_edges(p.n, [rid], [ppos]), x
+    keys = edge_keys(p.n, rid, ppos)
+    del rid, ppos  # freed before the edge array is made
+    return _finish_edges(p.n, keys), x
+
+
+def sample_replica(p: EnsembleParams, seed: int, index: int, variant: str = "fast") -> Graph:
+    """Replica `index` of ensemble p under master seed `seed`, by sampler `variant`.
+
+    Its coordinate and edge seeds are subseeds 2*index and 2*index + 1 of
+    (seed, TAG_REPLICA), so each replica is an independent, reproducible draw.
+    """
+    coord_seed, edge_seed = (rng.subseed(seed, rng.TAG_REPLICA, 2 * index + k) for k in (0, 1))
+    if variant == "growing":
+        return sample_graph_growing(p, coord_seed)[0]
+    sample_edges = sample_graph_naive if variant == "naive" else sample_graph_fast
+    return sample_edges(sample_coordinates(p, coord_seed), edge_seed)

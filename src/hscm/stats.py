@@ -49,24 +49,21 @@ class DegreeHistogram:
 
 
 def degree_histogram(graphs) -> DegreeHistogram:
-    """Exact pooled degree counts of graphs that all share one node count."""
-    graphs = list(graphs)
-    if not graphs:
-        raise DomainError("no graphs given")
-    n = graphs[0].n
-    if any(g.n != n for g in graphs):
-        raise DomainError("all graphs must have the same node count")
-    kmax = 0
-    degs = []
+    """Exact pooled degree counts of graphs sharing one node count, read one graph at a time."""
+    counts, edges, n = np.zeros(1, dtype=np.int64), [], None
     for g in graphs:
-        d = g.degrees()
-        kmax = max(kmax, int(d.max(initial=0)))
-        degs.append(d)
-    counts = np.zeros(kmax + 1, dtype=np.int64)
-    for d in degs:
-        counts += np.bincount(d, minlength=kmax + 1)
-    epg = np.array([g.num_edges for g in graphs], dtype=np.int64)
-    return DegreeHistogram(counts=counts, n=n, n_graphs=len(graphs), edges_per_graph=epg)
+        n = g.n if n is None else n
+        if g.n != n:
+            raise DomainError("all graphs must have the same node count")
+        c = np.bincount(g.degrees(), minlength=counts.size)
+        c[:counts.size] += counts
+        counts = c
+        edges.append(g.num_edges)
+        del g  # free this graph before the next one is made
+    if n is None:
+        raise DomainError("no graphs given")
+    return DegreeHistogram(counts=counts, n=n, n_graphs=len(edges),
+                           edges_per_graph=np.array(edges, dtype=np.int64))
 
 
 def tv_distance_lumped(p_emp: np.ndarray, q: np.ndarray, k_max: int) -> float:

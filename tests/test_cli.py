@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -51,6 +53,42 @@ class TestGenerate:
         run_cli("generate", "--gamma", 2, "--nu", 10, "--n", 300,
                 "--replicas", 3, "--seed", 5, "--jobs", 2, "--out", b)
         for i in range(3):
+            name = f"graph_{i:03d}.edges"
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("replicas, cpus, workers", [(3, 8, 3), (3, 2, 2), (1, 8, None)])
+    def test_jobs_capped_by_replicas_and_cpus(self, tmp_path, monkeypatch,
+                                              replicas, cpus, workers):
+        import hscm.cli as cli_mod
+
+        made = []
+
+        class InlineExecutor:
+            """Stands in for ProcessPoolExecutor: runs each task when it is submitted."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out, jobs in ((a, 1), (b, 5000)):
+            assert run_cli("generate", "--gamma", 2, "--nu", 10, "--n", 300,
+                           "--replicas", replicas, "--seed", 5, "--jobs", jobs,
+                           "--out", out) == 0
+        assert made == ([] if workers is None else [workers])
+        for i in range(replicas):
             name = f"graph_{i:03d}.edges"
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -333,6 +371,31 @@ class TestScmIngestAndErrors:
                        "--out", tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: not enough memory for n=1000000000000")
+
+    # refused from the expected edge count C(n, 2) * E[W] before any sampler runs,
+    # against the memory of an 8 GiB machine whatever this one has
+    @pytest.mark.parametrize("command", ["generate", "degrees"])
+    @pytest.mark.parametrize("nu, n, edges", [(1e6, 10**5, "4.27e+09 edges"),
+                                              (10, 10**8, "5e+08 edges")])
+    def test_oversized_graph_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                    command, nu, n, edges):
+        import hscm.cli as cli_mod
+        import hscm.sampler as sampler_mod
+
+        def refuse(*args, **kwargs):
+            pytest.fail("a sampler ran")
+
+        for name in ("sample_coordinates", "sample_graph_fast", "sample_graph_naive",
+                     "sample_graph_growing"):
+            monkeypatch.setattr(sampler_mod, name, refuse)
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 8 * 2**30)
+        t0 = time.perf_counter()
+        assert run_cli(command, "--gamma", 2, "--nu", nu, "--n", n, "--seed", 1,
+                       "--out", tmp_path) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: not enough memory for n={n}: "
+                              f"gamma=2, nu={nu:g} expect {edges}")
 
     def test_io_error_exit_4(self, tmp_path):
         assert run_cli("ingest", "--path", tmp_path / "missing.txt",

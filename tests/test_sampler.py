@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import pooled_histogram, replica_graph
 from oracles import omega_n, prefix, skip_rows_reference
 from hscm import rng, sampler
 from hscm.errors import SizeGuardError
@@ -17,7 +16,9 @@ from hscm.sampler import (
     sample_graph_fast,
     sample_graph_growing,
     sample_graph_naive,
+    sample_replica,
 )
+from hscm.stats import degree_histogram
 
 
 class TestGraphType:
@@ -93,7 +94,7 @@ class TestNaiveSampler:
 
         p = derive_params(2.0, 10.0, 10**3)
         target = expected_avg_degree_finite_n(p) * p.n / 2.0
-        ms = [replica_graph(p, 515, r, "naive").num_edges for r in range(200)]
+        ms = [sample_replica(p, 515, r, "naive").num_edges for r in range(200)]
         se = np.std(ms, ddof=1) / math.sqrt(len(ms))
         assert abs(np.mean(ms) - target) <= 3.0 * se
 
@@ -217,7 +218,7 @@ class TestFastSampler:
         p = derive_params(2.0, 10.0, 100)
         d0, d57 = [], []
         for r in range(1000):
-            g = replica_graph(p, 31415, r)
+            g = sample_replica(p, 31415, r)
             d = g.degrees()
             d0.append(d[0])
             d57.append(d[57])
@@ -316,7 +317,7 @@ class TestGrowingSampler:
         p = derive_params(2.0, 10.0, 2000)
         me, mg = [], []
         for r in range(60):
-            me.append(replica_graph(p, 123, r).average_degree())
+            me.append(sample_replica(p, 123, r).average_degree())
             g, _ = sample_graph_growing(p, rng.subseed(456, rng.TAG_REPLICA, r))
             mg.append(g.average_degree())
         se = math.sqrt(np.var(me, ddof=1) / 60 + np.var(mg, ddof=1) / 60)
@@ -325,8 +326,9 @@ class TestGrowingSampler:
     def test_growing_degree_distribution_matches_equilibrium(self):
         # TV over k <= 50 below 0.02, pooled over 20 replicas at n = 1e5
         n = 10**5
-        he = pooled_histogram(2.0, 10.0, n, 20, 2024, "fast")
-        hg = pooled_histogram(2.0, 10.0, n, 20, 2025, "growing")
+        p = derive_params(2.0, 10.0, n)
+        he = degree_histogram(sample_replica(p, 2024, r, "fast") for r in range(20))
+        hg = degree_histogram(sample_replica(p, 2025, r, "growing") for r in range(20))
         K = 50
         pe = np.zeros(K + 1)
         pg = np.zeros(K + 1)

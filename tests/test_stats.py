@@ -1,14 +1,14 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.special import zeta
 
-from conftest import pooled_histogram
 from oracles import mixing, truncation_k
 from hscm.errors import DomainError, EdgeListParseError, InsufficientTailError
 from hscm.params import derive_params
-from hscm.sampler import Graph
+from hscm.sampler import Graph, sample_replica
 from hscm.stats import (
     DegreeHistogram,
     compare_to_theory,
@@ -32,6 +32,22 @@ class TestHistogram:
         h = degree_histogram([Graph(n=4, edges=edges)])
         assert list(h.counts) == [0, 0, 0, 4]
         assert h.mean_degree() == 3.0
+
+    def test_streams_one_graph_at_a_time(self):
+        # graph i - 2 is garbage by the time graph i is drawn
+        refs = []
+
+        def graphs():
+            for i in range(6):
+                if i >= 2:
+                    assert refs[i - 2]() is None
+                g = Graph(n=50, edges=np.array([[0, i + 1]]))
+                refs.append(weakref.ref(g))
+                yield g
+
+        h = degree_histogram(graphs())
+        assert h.n_graphs == 6
+        assert list(h.counts) == [6 * 48, 6 * 2]
 
     def test_mixed_sizes_rejected(self):
         g1 = Graph(n=3, edges=np.array([[0, 1]]))
@@ -132,7 +148,8 @@ class TestTailExponent:
 
     def test_hscm_ensemble_tail_exponent(self):
         # 10 replicas at n = 1e6, gamma = 2: alpha_hat within [2.8, 3.2]
-        h = pooled_histogram(2.0, 10.0, 10**6, 10, 777)
+        p = derive_params(2.0, 10.0, 10**6)
+        h = degree_histogram(sample_replica(p, 777, r) for r in range(10))
         alpha = tail_exponent_fit(h).alpha
         assert 2.8 <= alpha <= 3.2
 
@@ -155,8 +172,9 @@ class TestCompareToTheory:
         # empirical average matches the finite-n quadrature within 3 SE
         tvs = []
         for n in (10**3, 10**4, 10**5):
-            h = pooled_histogram(2.0, 10.0, n, 20, 5150)
-            rep = compare_to_theory(h, derive_params(2.0, 10.0, n))
+            p = derive_params(2.0, 10.0, n)
+            h = degree_histogram(sample_replica(p, 5150, r) for r in range(20))
+            rep = compare_to_theory(h, p)
             tvs.append(rep.tv_asymptotic)
             assert abs(rep.avg_degree_empirical - rep.avg_degree_finite_n) \
                 <= 3.0 * rep.avg_degree_empirical_se
