@@ -24,6 +24,7 @@ from .params import EnsembleParams, mu_n_quantile
 NAIVE_SIZE_GUARD = 30_000
 _NAIVE_BLOCK = 1 << 20  # upper-triangle pairs the naive sampler draws at once
 _SCALAR_ROWS = 8  # the skip engine finishes this many live rows or fewer one at a time
+_BLOCK_ROWS = 1 << 16  # rows the skip engine steps at once
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,10 @@ class Graph:
         return int(self.edges.shape[0])
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.n).astype(np.int64)
+        # one column at a time: bincount copies its input to int64
+        deg = np.bincount(self.edges[:, 0], minlength=self.n)
+        deg += np.bincount(self.edges[:, 1], minlength=self.n)
+        return deg
 
     def average_degree(self) -> float:
         return 2.0 * self.num_edges / self.n
@@ -127,12 +131,12 @@ def sample_graph_naive(x: np.ndarray, seed: int) -> Graph:
     return _finish_edges(n, np.concatenate(keys))
 
 
-def _put(buf: np.ndarray, m: int, values) -> np.ndarray:
-    """buf with values written from position m on, in a copy of twice the size if full.
+def _put(buf: np.ndarray, m: int, values) -> tuple:
+    """(buf with values written from position m on, m + len(values)).
 
-    The skip engine gathers its accepted pairs in one large buffer per column
-    this way; one small array per batch scatters over the heap and fragments
-    it from one replica to the next.
+    A full buf is first copied into one of twice the size.  The skip engine
+    gathers its keys in one large buffer this way; one small array per batch
+    scatters over the heap and fragments it from one replica to the next.
     """
     k = len(values)
     if m + k > buf.size:
@@ -140,24 +144,44 @@ def _put(buf: np.ndarray, m: int, values) -> np.ndarray:
         grown[:m] = buf[:m]
         buf = grown
     buf[m:m + k] = values
-    return buf
+    return buf, m + k
 
 
 def _run_skip_rows(xs: np.ndarray, row_ids: np.ndarray, start: np.ndarray,
-                   stop: np.ndarray, seed: int, tag: int):
+                   stop: np.ndarray, seed: int, tag: int, label=None) -> np.ndarray:
     """Exact Bernoulli(W) sampling of many independent rows by geometric skipping.
 
     Row r is node xs[row_ids[r]] against candidate positions
-    start[r]..stop[r]-1 of xs.  xs must be ascending so that, within a row,
-    connection probabilities are non-increasing over them.  Row r draws
-    its uniforms from the counter-based stream (seed, tag, row_ids[r], k):
-    the prefix (seed, tag, row_ids[r]) is hashed once when the row enters,
-    and draw k is one finalizer of prefix ^ k.  Results are therefore
-    independent of how rows are batched.  All live rows step together as
-    arrays until at most _SCALAR_ROWS are left; those stragglers (often the
-    hub rows) finish one at a time in _finish_row, with the same draws and
-    float operations.  Returns (row_id, position) arrays of accepted
-    candidates, in no particular order.
+    start[r]..stop[r]-1 of xs, stepped by _skip_block in blocks of
+    _BLOCK_ROWS rows.  Returns the canonical key
+    edge_keys(xs.size, label[row_ids[r]], label[p]) of each accepted position
+    p, in no particular order; label defaults to the identity.
+    """
+    n = xs.size
+    # Room for 8 keys per row (average degree 16) before _put must regrow;
+    # pages never written take no memory.
+    keys = np.empty(max(1 << 16, 8 * row_ids.size), dtype=np.int64)
+    m = 0
+    for b in range(0, row_ids.size, _BLOCK_ROWS):
+        block = slice(b, b + _BLOCK_ROWS)
+        for rid, pos in _skip_block(xs, row_ids[block], start[block], stop[block], seed, tag):
+            if label is not None:
+                rid, pos = label[rid], label[pos]
+            keys, m = _put(keys, m, edge_keys(n, rid, pos))
+    return keys[:m]
+
+
+def _skip_block(xs, row_ids, start, stop, seed, tag):
+    """Yield (row_id, position) arrays of the accepted candidates of some rows.
+
+    xs must be ascending so that, within a row, connection probabilities are
+    non-increasing over the candidates.  Row r draws its uniforms from the
+    counter-based stream (seed, tag, row_ids[r], k): the prefix
+    (seed, tag, row_ids[r]) is hashed once when the row enters, and draw k is
+    one finalizer of prefix ^ k.  Results are therefore independent of how
+    rows are batched.  All live rows step together as arrays until at most
+    _SCALAR_ROWS are left; those stragglers (often the hub rows) finish one
+    at a time in _finish_row, with the same draws and float operations.
     """
     idx = np.nonzero(start < stop)[0]
     pos = start[idx].astype(np.int64, copy=False)
@@ -170,11 +194,6 @@ def _run_skip_rows(xs: np.ndarray, row_ids: np.ndarray, start: np.ndarray,
 
     s = rx + xs[pos]
     pb = np.where(s <= 0.0, 1.0, np.exp(-np.clip(s, 0.0, None)))
-    # Room for 8 accepted pairs per row (average degree 16) before _put must
-    # regrow; pages never written take no memory.
-    out_r = np.empty(max(1 << 16, 8 * rid.size), dtype=np.int64)
-    out_p = np.empty(out_r.size, dtype=np.int64)
-    m = 0
     one = np.uint64(1)
 
     while pos.size > _SCALAR_ROWS:
@@ -194,7 +213,7 @@ def _run_skip_rows(xs: np.ndarray, row_ids: np.ndarray, start: np.ndarray,
             pos, stp, rx, rid, pre, ctr, pb = (
                 a[live] for a in (pos, stp, rx, rid, pre, ctr, pb))
             if not pos.size:
-                break
+                return
 
         # Thin the landing to the Fermi-Dirac probability.
         s = rx + xs[pos]
@@ -203,9 +222,7 @@ def _run_skip_rows(xs: np.ndarray, row_ids: np.ndarray, start: np.ndarray,
         ctr += one
         acc = u2 * pb < w
         if acc.any():
-            out_r = _put(out_r, m, rid[acc])
-            out_p = _put(out_p, m, pos[acc])
-            m += int(np.count_nonzero(acc))
+            yield rid[acc], pos[acc]
 
         # Tighten the bound to the just-visited position and advance.
         pb = np.where(s <= 0.0, 1.0, np.exp(-np.clip(s, 0.0, None)))
@@ -218,17 +235,13 @@ def _run_skip_rows(xs: np.ndarray, row_ids: np.ndarray, start: np.ndarray,
     for r in range(pos.size):
         hits = _finish_row(xs, int(pos[r]), int(stp[r]), float(rx[r]), int(pre[r]),
                            int(ctr[r]), float(pb[r]))
-        out_r = _put(out_r, m, np.full(len(hits), rid[r]))
-        out_p = _put(out_p, m, hits)
-        m += len(hits)
-
-    return out_r[:m], out_p[:m]
+        yield np.full(len(hits), rid[r]), np.array(hits, dtype=np.int64)
 
 
 def _finish_row(xs, pos, stop, rx, prefix, ctr, pb):
     """Accepted positions of one live row, stepped in Python scalars.
 
-    The steps of the array loop of _run_skip_rows for a single row: the same
+    The steps of the array loop of _skip_block for a single row: the same
     stream draws, in exact integer arithmetic, and the same float
     operations.  log1p and exp are numpy's, not math's, so that every value
     matches the array loop to the last bit.
@@ -267,14 +280,10 @@ def sample_graph_fast(x: np.ndarray, seed: int) -> Graph:
     x = np.asarray(x, dtype=float)
     n = x.size
     order = np.argsort(x, kind="stable")
-    xs = x[order]
     ids = np.arange(n, dtype=np.int64)  # row i scans positions i+1..n-1
-    rid, ppos = _run_skip_rows(xs, ids[:-1], ids[1:], np.broadcast_to(n, ids[1:].shape),
-                               seed, rng.TAG_EDGE_FAST)
-    rid = order[rid]
-    ppos = order[ppos]
-    keys = edge_keys(n, rid, ppos)
-    del rid, ppos  # freed before the edge array is made
+    keys = _run_skip_rows(x[order], ids[:-1], ids[1:], np.broadcast_to(n, ids[1:].shape),
+                          seed, rng.TAG_EDGE_FAST, label=order)
+    del order, ids  # freed before the edge array is made
     return _finish_edges(n, keys)
 
 
@@ -284,11 +293,15 @@ def sample_graph_growing(p: EnsembleParams, seed: int):
     For gamma == 2 the chain is the exactly-projective construction: node t
     sits at x_t = 0.5*log(2 v_t) where v_t is a rate-delta Poisson process on
     the positive half line.  For other gamma node t is drawn from the latent
-    measure restricted to the t'th support increment; that variant matches
-    the equilibrium ensemble asymptotically, not exactly.  Both keep
-    coordinates strictly increasing, and node t links to earlier nodes from
-    its own seed streams, so the first n' nodes of a longer run are
-    byte-identical to a run of size n' with the same seed.
+    measure restricted to the t'th support increment (r_{t-1}, r_t], one node
+    per increment.  So a fraction t/n of the nodes lies below r_t for every
+    gamma, the spread of gamma = 2 rather than of the equilibrium law, and
+    this variant is a different ensemble at every size: at nu = 10 its edge
+    count is about 0.45 (gamma = 1.5) and 1.77 (gamma = 3) times the
+    equilibrium C(n, 2) E[W] for n from 1e5 to 3e6.  Both keep coordinates
+    strictly increasing, and node t links to earlier nodes from its own seed
+    streams, so the first n' nodes of a longer run are byte-identical to a
+    run of size n' with the same seed.
     """
     t = np.arange(p.n, dtype=np.int64)
     u = 1.0 - rng.uniform(seed, rng.TAG_GROW_COORD, t.astype(np.uint64))
@@ -304,10 +317,8 @@ def sample_graph_growing(p: EnsembleParams, seed: int):
         q[0] = 0.0  # first increment is the whole support
         x = r_t + np.log(q + u * (1.0 - q)) / p.gamma
     rows = t[1:]
-    rid, ppos = _run_skip_rows(x, rows, np.broadcast_to(0, rows.shape), rows,
-                               seed, rng.TAG_GROW_EDGE)
-    keys = edge_keys(p.n, rid, ppos)
-    del rid, ppos  # freed before the edge array is made
+    keys = _run_skip_rows(x, rows, np.broadcast_to(0, rows.shape), rows,
+                          seed, rng.TAG_GROW_EDGE)
     return _finish_edges(p.n, keys), x
 
 

@@ -13,7 +13,7 @@ from .graphon import expected_degree_fn
 from .params import EnsembleParams, mu_n_quantile
 from .quadrature import gauss_legendre_nodes
 from .io import parse_edge_list
-from .sampler import Graph, edge_keys, edges_from_keys
+from .sampler import edge_keys
 from .theory import DegreeLaw, expected_avg_degree_finite_n
 
 
@@ -236,7 +236,9 @@ def ingest_edge_list(path) -> DegreeHistogram:
     """Histogram of an external edge list, parsed by :func:`hscm.io.parse_edge_list`.
 
     0- versus 1-indexing is auto-detected (1-indexed when no zero id
-    appears).  Self-loops and duplicate edges are dropped and counted.
+    appears).  Self-loops and duplicate edges are dropped and counted.  The
+    edges are kept only as canonical keys, sorted in place unless they
+    already increase strictly, as the files of write_edge_list do.
     """
     ids, _ = parse_edge_list(path)
     if not ids.size:
@@ -245,10 +247,17 @@ def ingest_edge_list(path) -> DegreeHistogram:
         ids -= 1
     n = int(ids.max()) + 1
     loop = ids[:, 0] == ids[:, 1]
-    keys = np.sort(edge_keys(n, ids[~loop, 0], ids[~loop, 1]))
-    fresh = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    hist = degree_histogram([Graph(n=n, edges=edges_from_keys(n, keys[fresh]))])
-    hist.duplicates_dropped = int(keys.size - np.count_nonzero(fresh))
-    hist.self_loops_dropped = int(np.count_nonzero(loop))
-    return hist
+    loops = int(np.count_nonzero(loop))
+    keys = edge_keys(n, ids[:, 0], ids[:, 1])
+    del ids
+    if loops:
+        keys = keys[~loop]
+    non_loops = keys.size
+    if not (keys[1:] > keys[:-1]).all():  # strictly increasing keys have no duplicates
+        keys.sort()
+        keys = keys[np.insert(keys[1:] != keys[:-1], 0, True)]
+    degrees = np.bincount(keys // n, minlength=n)
+    degrees += np.bincount(keys % n, minlength=n)
+    return DegreeHistogram(counts=np.bincount(degrees), n=n, n_graphs=1,
+                           edges_per_graph=np.array([keys.size], dtype=np.int64),
+                           duplicates_dropped=non_loops - keys.size, self_loops_dropped=loops)

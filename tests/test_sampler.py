@@ -12,6 +12,7 @@ from hscm.params import derive_params
 from hscm.sampler import (
     Graph,
     _run_skip_rows,
+    edge_keys,
     sample_coordinates,
     sample_graph_fast,
     sample_graph_growing,
@@ -125,27 +126,27 @@ class TestFastSampler:
         assert np.array_equal(g1.edges, g2.edges)
         assert g1.first_fault() is None
 
-    def test_row_partitioning_invariance(self):
-        # splitting the anchor rows into arbitrary chunks and merging must
-        # reproduce the one-shot result exactly (per-row seed streams)
+    def test_row_partitioning_invariance(self, monkeypatch):
+        # splitting the anchor rows into arbitrary chunks, or stepping them in
+        # small blocks, and merging must reproduce the one-shot result exactly
+        # (per-row seed streams)
         p = derive_params(2.0, 10.0, 800)
         c = sample_coordinates(p, 21)
         x = np.sort(c, kind="stable")
         n = p.n
         rows = np.arange(n - 1, dtype=np.int64)
-        full = _run_skip_rows(x, rows, rows + 1, np.full(n - 1, n, dtype=np.int64),
-                              77, rng.TAG_EDGE_FAST)
+        full = np.sort(_run_skip_rows(x, rows, rows + 1, np.full(n - 1, n, dtype=np.int64),
+                                      77, rng.TAG_EDGE_FAST))
         pieces = []
         for lo, hi in ((0, 100), (100, 101), (101, 799)):
             rr = np.arange(lo, hi, dtype=np.int64)
             pieces.append(_run_skip_rows(x, rr, rr + 1, np.full(rr.size, n, dtype=np.int64),
                                          77, rng.TAG_EDGE_FAST))
-        merged_r = np.concatenate([a for a, _ in pieces])
-        merged_p = np.concatenate([b for _, b in pieces])
-        order_full = np.lexsort((full[1], full[0]))
-        order_merged = np.lexsort((merged_p, merged_r))
-        assert np.array_equal(full[0][order_full], merged_r[order_merged])
-        assert np.array_equal(full[1][order_full], merged_p[order_merged])
+        assert np.array_equal(full, np.sort(np.concatenate(pieces)))
+        monkeypatch.setattr(sampler, "_BLOCK_ROWS", 37)
+        blocked = _run_skip_rows(x, rows, rows + 1, np.full(n - 1, n, dtype=np.int64),
+                                 77, rng.TAG_EDGE_FAST)
+        assert np.array_equal(full, np.sort(blocked))
 
     def test_same_law_as_naive(self):
         # conditional on one coordinate draw, compare edge counts and pooled
@@ -230,10 +231,14 @@ class TestFastSampler:
         assert pval > 0.01
 
 
-def _pairs_sorted(result):
-    rows, positions = result
-    order = np.lexsort((positions, rows))
-    return rows[order], positions[order]
+def _reference_keys(x, rows, start, stop, seed, tag):
+    """Sorted canonical keys of the reference engine's (row, position) pairs.
+
+    edge_keys is injective on them: every row's positions lie all above or
+    all below the row.
+    """
+    rid, pos = skip_rows_reference(x, x[rows], rows, start, stop, seed, tag)
+    return np.sort(edge_keys(x.size, rid, pos))
 
 
 class TestSkipEngine:
@@ -263,10 +268,10 @@ class TestSkipEngine:
             rows = np.arange(n - 1, dtype=np.int64)
             start, stop, tag = rows + 1, np.full(rows.size, n, dtype=np.int64), rng.TAG_EDGE_FAST
         for seed in (5, 6):
-            got = _pairs_sorted(_run_skip_rows(x, rows, start, stop, seed, tag))
-            want = _pairs_sorted(skip_rows_reference(x, x[rows], rows, start, stop, seed, tag))
-            assert want[0].size > 0
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            got = np.sort(_run_skip_rows(x, rows, start, stop, seed, tag))
+            want = _reference_keys(x, rows, start, stop, seed, tag)
+            assert want.size > 0
+            assert np.array_equal(got, want)
         assert sum(finished) > 0  # the scalar loop accepted some of the pairs
 
     def test_int_finalizer_and_prefix_draws(self):

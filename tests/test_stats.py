@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,6 +20,11 @@ from hscm.stats import (
     tv_distance_lumped,
 )
 from hscm.theory import DegreeLaw
+
+# tracemalloc peak per edge of sampling (gamma=2, nu=10, n=2e5) or ingesting
+# a graph: about 29 and 25 bytes, against 57 and 52 for (row, position)
+# pairs and copied id columns
+_BYTES_PER_EDGE_BOUND = 36
 
 
 class TestHistogram:
@@ -216,3 +222,63 @@ class TestIngest:
         href = degree_histogram([g])
         assert np.array_equal(h.counts, href.counts)
         assert h.duplicates_dropped == 0
+
+    # unchanged: the exported order with self-loops appended, which ingest
+    # need not sort; shuffled: reversed pairs, duplicates and self-loops in
+    # random order, which it must sort
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_messy_copy_matches_unique_oracle(self, tmp_path, shuffled):
+        p = derive_params(2.0, 10.0, 500)
+        g = sample_replica(p, 8, 0)
+        r = np.random.default_rng(9)
+        ids = g.edges.astype(np.int64)
+        if shuffled:
+            flip = r.random(ids.shape[0]) < 0.5
+            ids[flip] = ids[flip, ::-1]
+            ids = np.concatenate([ids, ids[r.integers(0, ids.shape[0], 40)][:, ::-1]])
+        loops = np.repeat(r.integers(0, p.n, 7), 2).reshape(-1, 2)
+        ids = np.concatenate([ids, loops])
+        if shuffled:
+            ids = ids[r.permutation(ids.shape[0])]
+        path = tmp_path / "messy.txt"
+        path.write_text("".join(f"{a} {b}\n" for a, b in ids))
+        h = ingest_edge_list(str(path))
+
+        n = int(ids.max()) + 1
+        pairs = np.sort(ids, axis=1)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        simple = np.unique(pairs, axis=0)
+        assert h.n == n
+        assert np.array_equal(h.counts, np.bincount(np.bincount(simple.ravel(), minlength=n)))
+        assert h.duplicates_dropped == pairs.shape[0] - simple.shape[0]
+        assert h.self_loops_dropped == loops.shape[0]
+        assert h.duplicates_dropped == (40 if shuffled else 0)
+
+
+def test_edge_pipeline_bytes_per_edge(tmp_path):
+    # the skip engine gathers canonical keys in one buffer and ingest keeps
+    # only keys, so neither holds more than a few int64 words per edge
+    from hscm.io import write_edge_list
+    from hscm.sampler import sample_coordinates, sample_graph_fast
+
+    p = derive_params(2.0, 10.0, 200_000)
+    x = sample_coordinates(p, 1)
+    path = tmp_path / "g.edges"
+    tracemalloc.start()
+    try:
+        g = sample_graph_fast(x, 2)
+        sample_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    write_edge_list(str(path), g, seed=2)
+    m = g.num_edges
+    del g
+    tracemalloc.start()
+    try:
+        ingest_edge_list(str(path))
+        ingest_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m > 900_000
+    assert sample_peak / m < _BYTES_PER_EDGE_BOUND
+    assert ingest_peak / m < _BYTES_PER_EDGE_BOUND
