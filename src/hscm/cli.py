@@ -219,6 +219,8 @@ def cmd_scm_solve(cfg) -> int:
         "config": {**source, "tol": cfg.tol},
         "n": inst.n,
         "residual": inst.residual,
+        "residual_path": list(inst.residual_path),
+        "cg_iterations": inst.cg_iterations,
         "expected_degrees": [float(v) for v in inst.expected_degrees],
         "multipliers": [float(v) for v in inst.multipliers],
     })

@@ -354,11 +354,26 @@ class TestScmIngestAndErrors:
         assert doc["edges"] == meta["replicas"][0]["edges"]
         assert doc["duplicates_dropped"] == 0
 
-    def test_scm_solve_too_many_classes_exit_2(self, tmp_path, capsys):
+    def test_scm_solve_4097_classes_exit_0(self, tmp_path):
         degrees = tmp_path / "k.txt"
         degrees.write_text(" ".join(map(str, np.linspace(1.0, 2.0, 4097).tolist())) + "\n")
-        assert run_cli("scm-solve", "--degrees-file", degrees, "--out", tmp_path) == 2
-        assert "4097 distinct expected degrees" in capsys.readouterr().err
+        assert run_cli("scm-solve", "--degrees-file", degrees, "--out", tmp_path) == 0
+        doc = json.loads((tmp_path / "scm.json").read_text())
+        assert doc["residual"] <= 1e-10 and len(doc["multipliers"]) == 4097
+
+    def test_scm_solve_reports_solver_counters(self, tmp_path):
+        degrees = tmp_path / "k.txt"
+        degrees.write_text("1.5 2.5 2.5 3.0 0.5 1.0\n")
+        assert run_cli("scm-solve", "--degrees-file", degrees, "--out", tmp_path / "a") == 0
+        doc = json.loads((tmp_path / "a" / "scm.json").read_text())
+        path = doc["residual_path"]
+        assert path and path[-1] == doc["residual"] <= 1e-10
+        assert all(b < a for a, b in zip(path, path[1:]))
+        assert isinstance(doc["cg_iterations"], int) and doc["cg_iterations"] >= len(path)
+        assert run_cli("scm-solve", "--gamma", 2, "--nu", 10, "--n", 20, "--seed", 8,
+                       "--out", tmp_path / "b") == 0
+        doc = json.loads((tmp_path / "b" / "scm.json").read_text())
+        assert (doc["residual_path"], doc["cg_iterations"]) == ([], 0)
 
     def test_config_error_exit_2(self, tmp_path):
         assert run_cli("theory", "--gamma", 0.5, "--nu", 10, "--n", 100,
