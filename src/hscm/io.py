@@ -17,13 +17,15 @@ from .sampler import Graph
 
 SCHEMA_VERSION = 1
 EDGE_FORMAT_TAG = "hscm v1"
-MAX_NODE_ID = 2**31 - 1  # Graph stores int32 endpoints
 _HEADER = re.compile(r"#\s*" + re.escape(EDGE_FORMAT_TAG) + r"\b.*?\bn=(\d+)")
 _WRITE_CHUNK = 1 << 16  # edges formatted per write
 # loadtxt numbers data rows (comment and blank lines skipped) from 0 in
-# conversion errors and from 1 in missing-column errors.
+# conversion errors and from 1 in missing-column errors.  Ids parse as int32;
+# an integer that int64 holds (up to 18 digits) is out of range, not bad.
 _LOADTXT_ROW = (
-    (re.compile(r"could not convert string (?P<token>'.*') to int64 at row (?P<row>\d+)"),
+    (re.compile(r"could not convert string '(?P<id>[+-]?\d{1,18})' to int32 at row (?P<row>\d+)",
+                re.ASCII), 0, "node id {id} outside [0, 2**31)"),
+    (re.compile(r"could not convert string (?P<token>'.*') to int32 at row (?P<row>\d+)"),
      0, "bad node id {token}"),
     (re.compile(r"invalid column index \d+ at row (?P<row>\d+)"), 1, "expected two node ids"),
 )
@@ -83,7 +85,7 @@ def _reject_ids(path, ids, bad, reason):
 
 
 def parse_edge_list(path):
-    """The (m, 2) int64 node ids of an edge-list file, and n from its header.
+    """The (m, 2) int32 node ids of an edge-list file, and n from its header.
 
     Text after '#' and blank lines are skipped, the first two whitespace-
     separated columns are node ids in [0, 2**31) and further columns are
@@ -93,7 +95,7 @@ def parse_edge_list(path):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            ids = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2,
+            ids = np.loadtxt(path, dtype=np.int32, comments="#", ndmin=2,
                              usecols=(0, 1), encoding="utf-8")
     except UnicodeDecodeError:
         raise EdgeListParseError(path, *_decode_error(path)) from None
@@ -104,7 +106,7 @@ def parse_edge_list(path):
                 raise EdgeListParseError(path, _file_line(path, int(match["row"]) - base),
                                          message.format(**match.groupdict())) from None
         raise EdgeListParseError(path, 0, str(exc)) from None
-    _reject_ids(path, ids, (ids < 0) | (ids > MAX_NODE_ID), "outside [0, 2**31)")
+    _reject_ids(path, ids, ids < 0, "outside [0, 2**31)")
     with open(path, "r", encoding="utf-8") as fh:
         header = _HEADER.match(fh.readline().strip())
     return ids, (int(header.group(1)) if header else None)

@@ -41,14 +41,6 @@ def _finalize(z):
     return z
 
 
-def _finalize_int(z: int) -> int:
-    """_finalize on one Python int in [0, 2**64), exact and without numpy calls."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
 def _to_unit(h):
     """The top 53 bits of each uint64 as a float in [0, 1)."""
     return (h >> _S11).astype(np.float64) * (2.0 ** -53)
@@ -57,11 +49,8 @@ def _to_unit(h):
 def draw(prefix, counter):
     """uniform(*parts, counter) for prefix = hash_u64(*parts), by one finalizer.
 
-    prefix and counter are uint64 arrays; as Python ints, the draw runs in
-    exact integer arithmetic and returns a Python float of the same value.
+    prefix and counter are uint64 arrays.
     """
-    if isinstance(prefix, int):
-        return (_finalize_int(prefix ^ counter) >> 11) * (2.0 ** -53)
     return _to_unit(_finalize(prefix ^ counter))
 
 

@@ -6,12 +6,14 @@ connection probability, proposing candidates by geometric jumps under the
 dominating product bound min(exp(-(x_i + x_j)), 1) and thinning each landing
 to the Fermi-Dirac probability.  Every candidate ends up included
 independently with exactly probability W(x_i, x_j), in expected O(1 + degree)
-work per row.
+work per row.  Rows that expect many proposals are cut into segments of
+bounded expected work, each stepped as a row of its own, so all rows step
+together in one array loop whose length does not grow with the largest
+degree.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +25,9 @@ from .params import EnsembleParams, mu_n_quantile
 
 NAIVE_SIZE_GUARD = 30_000
 _NAIVE_BLOCK = 1 << 20  # upper-triangle pairs the naive sampler draws at once
-_SCALAR_ROWS = 8  # the skip engine finishes this many live rows or fewer one at a time
+_SEGMENT_WORK = 256  # expected proposals above which the skip engine cuts a row
 _BLOCK_ROWS = 1 << 16  # rows the skip engine steps at once
+_KEY_CHUNK = 1 << 16  # keys edges_from_keys converts at once
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,10 @@ class Graph:
         return int(self.edges.shape[0])
 
     def degrees(self) -> np.ndarray:
-        # one column at a time: bincount copies its input to int64
-        deg = np.bincount(self.edges[:, 0], minlength=self.n)
-        deg += np.bincount(self.edges[:, 1], minlength=self.n)
+        # bincount copies its input to int64, so count 2**20 edges at a time
+        deg = np.zeros(self.n, dtype=np.int64)
+        for i in range(0, self.num_edges, 1 << 20):
+            deg += np.bincount(self.edges[i:i + (1 << 20)].ravel(), minlength=self.n)
         return deg
 
     def average_degree(self) -> float:
@@ -81,9 +85,7 @@ def edge_keys(n: int, a, b) -> np.ndarray:
     Keys sort in the (i, j) lexicographic order of the edges with i < j, and
     equal keys are duplicate edges.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    keys = np.minimum(a, b)  # min*n + max == min*(n-1) + a + b, with no temporary
+    keys = np.minimum(a, b, dtype=np.int64)  # min*n + max == min*(n-1) + a + b
     keys *= n - 1
     keys += a
     keys += b
@@ -91,14 +93,20 @@ def edge_keys(n: int, a, b) -> np.ndarray:
 
 
 def edges_from_keys(n: int, keys: np.ndarray) -> np.ndarray:
-    """The (m, 2) int32 edge array of canonical keys, in key order."""
-    edges = np.empty((keys.size, 2), dtype=np.int32)
-    np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
+    """The (m, 2) int32 edge array of canonical keys, in key order, written over the keys.
+
+    keys is a contiguous int64 array; each key's 8 bytes become its edge, a
+    chunk at a time, so no second array of the edges' size is made.
+    """
+    edges = keys.view(np.int32).reshape(-1, 2)
+    for i in range(0, keys.size, _KEY_CHUNK):
+        edges[i:i + _KEY_CHUNK, 0], edges[i:i + _KEY_CHUNK, 1] = np.divmod(
+            keys[i:i + _KEY_CHUNK], n)
     return edges
 
 
 def _finish_edges(n: int, keys: np.ndarray) -> Graph:
-    """The graph of an int64 array of canonical edge keys, which it sorts in place."""
+    """The graph of an int64 array of canonical edge keys, which it sorts and overwrites."""
     keys.sort()
     return Graph(n=n, edges=edges_from_keys(n, keys))
 
@@ -152,51 +160,84 @@ def _run_skip_rows(xs: np.ndarray, row_ids: np.ndarray, start: np.ndarray,
     """Exact Bernoulli(W) sampling of many independent rows by geometric skipping.
 
     Row r is node xs[row_ids[r]] against candidate positions
-    start[r]..stop[r]-1 of xs, stepped by _skip_block in blocks of
-    _BLOCK_ROWS rows.  Returns the canonical key
-    edge_keys(xs.size, label[row_ids[r]], label[p]) of each accepted position
-    p, in no particular order; label defaults to the identity.
+    start[r]..stop[r]-1 of xs.  Blocks of _BLOCK_ROWS rows are cut into
+    segments by _segments and stepped by _skip_block.  Returns the canonical
+    key edge_keys(xs.size, label[row_ids[r]], label[p]) of each accepted
+    position p, in no particular order; label defaults to the identity.
     """
     n = xs.size
+    # e[j] = sum of exp(xs[0] - xs[i]) over i < j; the product bound's
+    # expected proposals over candidates [a, b) are exp(-x_r - xs[0]) (e[b] - e[a])
+    e = np.zeros(n + 1)
+    np.cumsum(np.exp(np.subtract(xs[0], xs, out=e[1:]), out=e[1:]), out=e[1:])  # in place
     # Room for 8 keys per row (average degree 16) before _put must regrow;
     # pages never written take no memory.
     keys = np.empty(max(1 << 16, 8 * row_ids.size), dtype=np.int64)
     m = 0
     for b in range(0, row_ids.size, _BLOCK_ROWS):
         block = slice(b, b + _BLOCK_ROWS)
-        for rid, pos in _skip_block(xs, row_ids[block], start[block], stop[block], seed, tag):
+        segments = _segments(xs, e, row_ids[block], start[block], stop[block])
+        for rid, pos in _skip_block(xs, *segments, seed, tag):
             if label is not None:
                 rid, pos = label[rid], label[pos]
             keys, m = _put(keys, m, edge_keys(n, rid, pos))
-    return keys[:m]
+    keys.resize(m, refcheck=False)  # in place, and no view of keys exists
+    return keys
 
 
-def _skip_block(xs, row_ids, start, stop, seed, tag):
+def _segments(xs, e, rid, a, b):
+    """(row id, start, stop, first counter) of the segments rows rid are cut into.
+
+    A row expecting more than _SEGMENT_WORK proposals under the product
+    bound, (d - a) + exp(-x_r) sum_{d <= j < b} exp(-xs[j]) over candidates
+    [a, b) where d ends those with x_r + xs[j] <= 0, is cut into segments of
+    about equal expected work; the estimate only sizes them.  A segment's
+    first counter is twice its offset into the row: a step spends at most 2
+    draws per candidate it passes, so segments never share a draw, and a
+    row that is not cut draws from counter 0.
+    """
+    rx = xs[rid]
+    d = np.clip(np.searchsorted(xs, -rx, side="right"), a, b)
+    dense = d - a
+    scale = np.exp(np.clip(-(rx + xs[0]), -600.0, 600.0))
+    work = np.minimum(dense + scale * (e[b] - e[d]), b - a)
+    cuts = np.maximum(np.ceil(work / _SEGMENT_WORK), 1).astype(np.int64)
+    last = np.cumsum(cuts) - 1  # each row's last segment
+    row = np.repeat(np.arange(rid.size), cuts)
+    k = np.arange(row.size) - (last - cuts + 1)[row]  # segment index within its row
+    lo = a[row]
+    inner = np.nonzero(k)[0]
+    r = row[inner]
+    t = work[r] * k[inner] / cuts[r]  # expected work before the segment
+    tail = np.clip(np.searchsorted(e, e[d[r]] + (t - dense[r]) / scale[r]), d[r], b[r])
+    lo[inner] = np.where(t < dense[r], a[r] + t.astype(np.int64), tail)
+    hi = np.append(lo[1:], 0)
+    hi[last] = b
+    return rid[row], lo, hi, (2 * (lo - a[row])).astype(np.uint64)
+
+
+def _skip_block(xs, row_ids, start, stop, counter, seed, tag):
     """Yield (row_id, position) arrays of the accepted candidates of some rows.
 
     xs must be ascending so that, within a row, connection probabilities are
     non-increasing over the candidates.  Row r draws its uniforms from the
-    counter-based stream (seed, tag, row_ids[r], k): the prefix
-    (seed, tag, row_ids[r]) is hashed once when the row enters, and draw k is
-    one finalizer of prefix ^ k.  Results are therefore independent of how
-    rows are batched.  All live rows step together as arrays until at most
-    _SCALAR_ROWS are left; those stragglers (often the hub rows) finish one
-    at a time in _finish_row, with the same draws and float operations.
+    counter-based stream (seed, tag, row_ids[r], k) with k from counter[r]
+    on: the prefix (seed, tag, row_ids[r]) is hashed once when the row
+    enters, and draw k is one finalizer of prefix ^ k.  Results are
+    therefore independent of how rows are batched.  All live rows step
+    together as arrays; _segments keeps each row's expected number of steps
+    bounded.
     """
-    idx = np.nonzero(start < stop)[0]
-    pos = start[idx].astype(np.int64, copy=False)
-    stp = stop[idx].astype(np.int64, copy=False)
-    rid = row_ids[idx].astype(np.uint64)
-    del idx
+    live = start < stop
+    pos, stp, rid, ctr = start[live], stop[live], row_ids[live], counter[live]
     rx = xs[rid]
     pre = rng.hash_u64(seed, tag, rid)
-    ctr = np.zeros(rid.size, dtype=np.uint64)
 
     s = rx + xs[pos]
     pb = np.where(s <= 0.0, 1.0, np.exp(-np.clip(s, 0.0, None)))
     one = np.uint64(1)
 
-    while pos.size > _SCALAR_ROWS:
+    while pos.size:
         # Geometric jump at the current bound (rows at bound 1 stay put).
         jump = pb < 1.0
         if jump.any():
@@ -212,8 +253,6 @@ def _skip_block(xs, row_ids, start, stop, seed, tag):
         if not live.all():
             pos, stp, rx, rid, pre, ctr, pb = (
                 a[live] for a in (pos, stp, rx, rid, pre, ctr, pb))
-            if not pos.size:
-                return
 
         # Thin the landing to the Fermi-Dirac probability.
         s = rx + xs[pos]
@@ -231,42 +270,6 @@ def _skip_block(xs, row_ids, start, stop, seed, tag):
         if not live.all():
             pos, stp, rx, rid, pre, ctr, pb = (
                 a[live] for a in (pos, stp, rx, rid, pre, ctr, pb))
-
-    for r in range(pos.size):
-        hits = _finish_row(xs, int(pos[r]), int(stp[r]), float(rx[r]), int(pre[r]),
-                           int(ctr[r]), float(pb[r]))
-        yield np.full(len(hits), rid[r]), np.array(hits, dtype=np.int64)
-
-
-def _finish_row(xs, pos, stop, rx, prefix, ctr, pb):
-    """Accepted positions of one live row, stepped in Python scalars.
-
-    The steps of the array loop of _skip_block for a single row: the same
-    stream draws, in exact integer arithmetic, and the same float
-    operations.  log1p and exp are numpy's, not math's, so that every value
-    matches the array loop to the last bit.
-    """
-    hits = []
-    while True:
-        if pb < 1.0:
-            rem = stop - pos
-            u = rng.draw(prefix, ctr)
-            ctr += 1
-            scale = float(np.log1p(-pb))  # 0 once pb underflows: an infinite jump
-            g = float(np.log1p(-u)) / scale if scale else math.inf
-            pos += min(math.floor(g), rem) if g < math.inf else rem  # nan fails < too
-            if pos >= stop:
-                return hits
-        s = rx + float(xs[pos])
-        t = float(np.exp(-abs(s)))  # for s > 0 also the next bound exp(-s)
-        w = t / (1.0 + t) if s >= 0.0 else 1.0 / (1.0 + t)
-        if rng.draw(prefix, ctr) * pb < w:
-            hits.append(pos)
-        ctr += 1
-        pb = 1.0 if s <= 0.0 else t
-        pos += 1
-        if pos >= stop:
-            return hits
 
 
 def sample_graph_fast(x: np.ndarray, seed: int) -> Graph:

@@ -12,7 +12,7 @@ from .errors import DomainError, EdgeListParseError, InsufficientTailError
 from .graphon import expected_degree_fn
 from .params import EnsembleParams, mu_n_quantile
 from .quadrature import gauss_legendre_nodes
-from .io import parse_edge_list
+from .io import _reject_ids, parse_edge_list
 from .sampler import edge_keys
 from .theory import DegreeLaw, expected_avg_degree_finite_n
 
@@ -235,17 +235,21 @@ def tail_exponent_fit(h: DegreeHistogram, k_min: int | None = None) -> TailFit:
 def ingest_edge_list(path) -> DegreeHistogram:
     """Histogram of an external edge list, parsed by :func:`hscm.io.parse_edge_list`.
 
-    0- versus 1-indexing is auto-detected (1-indexed when no zero id
-    appears).  Self-loops and duplicate edges are dropped and counted.  The
-    edges are kept only as canonical keys, sorted in place unless they
-    already increase strictly, as the files of write_edge_list do.
+    n and 0-indexed ids come from a '# hscm v1 n=<n>' header (an id >= n
+    raises EdgeListParseError); without one, n is one past the largest id
+    and ids are 1-indexed when no zero id appears.  Self-loops and duplicate
+    edges are dropped and counted.  The edges are kept only as canonical
+    keys, sorted in place unless they already increase, as written files do.
     """
-    ids, _ = parse_edge_list(path)
-    if not ids.size:
+    ids, n = parse_edge_list(path)
+    if n is not None:
+        _reject_ids(path, ids, ids >= n, f"out of range for n={n}")
+    elif ids.size:
+        if ids.min() >= 1:  # 1-indexed input
+            ids -= 1
+        n = int(ids.max()) + 1
+    if not n:
         raise EdgeListParseError(path, 0, "no edges found")
-    if ids.min() >= 1:  # 1-indexed input
-        ids -= 1
-    n = int(ids.max()) + 1
     loop = ids[:, 0] == ids[:, 1]
     loops = int(np.count_nonzero(loop))
     keys = edge_keys(n, ids[:, 0], ids[:, 1])

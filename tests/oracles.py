@@ -22,10 +22,11 @@ expected_avg_degree_classical, negative_mass, refine_doubled, tail_mass_bound
 and truncation_k are closed forms, fits and helpers that only the tests use.
 
 skip_rows_reference is the skip engine as sampler._run_skip_rows stood
-before it hashed each row's stream prefix once and finished the last few
-rows in a scalar loop: every draw re-hashes (seed, tag, row, counter)
-through rng.uniform, and all rows step together as arrays until the last
-one ends.  The engine must return the same (row, position) pairs.
+before it hashed each row's stream prefix once and cut long rows into
+segments: every draw re-hashes (seed, tag, row, counter) through
+rng.uniform, and all rows step together as arrays until the last one ends.
+Run on the engine's segments (each with its first counter), it must return
+the engine's (row, position) pairs.
 
 The rest of this module is model code that no production path reaches, kept
 here for the tests that check it: the classical product kernel
@@ -169,14 +170,16 @@ def pareto_tail(law, y):
 # -- the skip engine as it stood before its prefix-hash and scalar-finish rework --
 
 def skip_rows_reference(xs: np.ndarray, row_coord: np.ndarray, row_ids: np.ndarray,
-                        start: np.ndarray, stop: np.ndarray, seed: int, tag: int):
+                        start: np.ndarray, stop: np.ndarray, seed: int, tag: int,
+                        counter=None):
     """Exact Bernoulli(W) sampling of many independent rows by geometric skipping.
 
     xs must be ascending so that, within a row, connection probabilities are
     non-increasing over candidate positions start[r]..stop[r]-1.  Row r draws
-    its uniforms from the counter-based stream (seed, tag, row_ids[r], k);
-    results are therefore independent of how rows are batched.
-    Returns (row_id, position) arrays of accepted candidates.
+    its uniforms from the counter-based stream (seed, tag, row_ids[r], k),
+    with k from counter[r] (default 0) on; results are therefore independent
+    of how rows are batched.  Returns (row_id, position) arrays of accepted
+    candidates.
     """
     pos = start.astype(np.int64).copy()
     stp = stop.astype(np.int64)
@@ -186,7 +189,8 @@ def skip_rows_reference(xs: np.ndarray, row_coord: np.ndarray, row_ids: np.ndarr
     stp = stp[idx]
     rx = row_coord[idx]
     rid = row_ids[idx].astype(np.uint64)
-    ctr = np.zeros(idx.size, dtype=np.uint64)
+    ctr = (np.zeros(idx.size, dtype=np.uint64) if counter is None
+           else np.asarray(counter, dtype=np.uint64)[idx])
 
     s = rx + xs[pos]
     pb = np.where(s <= 0.0, 1.0, np.exp(-np.clip(s, 0.0, None)))

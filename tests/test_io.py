@@ -12,8 +12,27 @@ from hscm.io import parse_edge_list, read_edge_list, write_edge_list
 from hscm.sampler import Graph, edge_keys, edges_from_keys
 from hscm.stats import ingest_edge_list
 
-# SHA-256 of `hscm generate` output, captured before the chunked writer
-# replaced np.savetxt(fmt="%d %d"); the files must stay byte-identical.
+# SHA-256 of write_edge_list on a fixed 150k-edge graph (more than one
+# write chunk), captured before the chunked writer replaced
+# np.savetxt(fmt="%d %d"); the writer's bytes must never change.
+WRITER_GOLDEN = "a5e5a2e6e7f7c74b18e3c9df4101846cd3544ac3319fa2ada85e89c190cb8c02"
+
+
+def test_writer_output_is_golden(tmp_path):
+    n = 2**31 - 1
+    k = np.arange(150_000, dtype=np.int64)
+    keys = np.unique(edge_keys(n, k * 48271 % n, (k * k + 12345) % n))
+    g = Graph(n=n, edges=edges_from_keys(n, keys[keys // n != keys % n]))
+    path = tmp_path / "g.edges"
+    write_edge_list(str(path), g, seed=5)
+    assert g.num_edges == 150_000
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITER_GOLDEN
+
+
+# SHA-256 of `hscm generate` output: these pin the samplers' edges as well as
+# the writer.  The last one was re-captured when the skip engine began to cut
+# rows that expect more than 256 proposals into segments: its top row
+# expects 758, while no row of the other cases expects more than 134.
 GOLDEN = [
     ("fast", 2.0, 10.0, 200, 7, 0,
      "acbac3843f57b767b9f5fe40e9466bf75c1a5c1df61320cefc48b009e2e58924"),
@@ -29,9 +48,9 @@ GOLDEN = [
     # n = 1: the header line alone
     ("fast", 2.0, 10.0, 1, 1, 0,
      "6b6b5d63a98904712b5221fdc8f0a9056d2c54265cc3df64d1d2f33bf8a52b2e"),
-    # ~150k edges: more than one write chunk
+    # ~150k edges, and rows cut into segments
     ("fast", 2.0, 10.0, 30000, 3, 1,
-     "159a7b428dc750cd9471d3ff732c6ff4d9d6e277dce9f90956876bc3a3d0f8f1"),
+     "24204910dceefb1fef0e9fe47db54113cedb09cfb7d542ce6f7b9288e1e78a9b"),
 ]
 
 
@@ -188,7 +207,7 @@ def test_parse_returns_ids_and_header_n(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("# hscm v1 n=9 seed=4\n3 1\n")
     ids, n = parse_edge_list(str(path))
-    assert n == 9 and ids.dtype == np.int64 and ids.tolist() == [[3, 1]]
+    assert n == 9 and ids.dtype == np.int32 and ids.tolist() == [[3, 1]]
     path.write_text("# another header\n3 1\n")
     assert parse_edge_list(str(path))[1] is None
 
@@ -200,3 +219,28 @@ def test_ingest_counts_reversed_duplicates(tmp_path):
     assert list(h.counts) == [0, 2, 1]
     assert h.duplicates_dropped == 3
     assert h.self_loops_dropped == 1
+
+
+def test_ingest_takes_n_and_indexing_from_the_header(tmp_path):
+    # node 0 is isolated here, so without the header the ids would look
+    # 1-indexed and one isolated node would be lost
+    assert main(["generate", "--gamma", "1.1", "--nu", "4.92", "--n", "1000", "--seed", "4",
+                 "--out", str(tmp_path)]) == 0
+    path = tmp_path / "graph_000.edges"
+    graph = read_edge_list(str(path))
+    degrees = graph.degrees()
+    assert degrees[0] == 0
+    h = ingest_edge_list(str(path))
+    assert h.n == 1000
+    assert np.array_equal(h.counts, np.bincount(degrees))
+
+
+def test_ingest_rejects_ids_beyond_header_n(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("# hscm v1 n=3 seed=1\n0 1\n# c\n1 3\n")
+    with pytest.raises(EdgeListParseError) as err:
+        ingest_edge_list(str(path))
+    assert err.value.line_number == 4
+    assert f"{path}:4: node id 3 out of range for n=3" in str(err.value)
+    path.write_text("# hscm v1 n=3 seed=1\n")
+    assert list(ingest_edge_list(str(path)).counts) == [3]

@@ -7,7 +7,7 @@ from scipy import stats as sps
 from oracles import omega_n, prefix, skip_rows_reference
 from hscm import rng, sampler
 from hscm.errors import SizeGuardError
-from hscm.graphon import expected_degree_fn
+from hscm.graphon import expected_degree_fn, w_fermi_dirac
 from hscm.params import derive_params
 from hscm.sampler import (
     Graph,
@@ -147,6 +147,19 @@ class TestFastSampler:
         blocked = _run_skip_rows(x, rows, rows + 1, np.full(n - 1, n, dtype=np.int64),
                                  77, rng.TAG_EDGE_FAST)
         assert np.array_equal(full, np.sort(blocked))
+        # the same with most rows cut into segments
+        monkeypatch.setattr(sampler, "_SEGMENT_WORK", 2)
+        monkeypatch.setattr(sampler, "_BLOCK_ROWS", 1 << 16)
+        full = np.sort(_run_skip_rows(x, rows, rows + 1, np.full(n - 1, n, dtype=np.int64),
+                                      77, rng.TAG_EDGE_FAST))
+        pieces = [_run_skip_rows(x, rr, rr + 1, np.full(rr.size, n, dtype=np.int64),
+                                 77, rng.TAG_EDGE_FAST)
+                  for rr in (rows[:100], rows[100:101], rows[101:])]
+        assert np.array_equal(full, np.sort(np.concatenate(pieces)))
+        monkeypatch.setattr(sampler, "_BLOCK_ROWS", 37)
+        blocked = _run_skip_rows(x, rows, rows + 1, np.full(n - 1, n, dtype=np.int64),
+                                 77, rng.TAG_EDGE_FAST)
+        assert np.array_equal(full, np.sort(blocked))
 
     def test_same_law_as_naive(self):
         # conditional on one coordinate draw, compare edge counts and pooled
@@ -231,19 +244,47 @@ class TestFastSampler:
         assert pval > 0.01
 
 
-def _reference_keys(x, rows, start, stop, seed, tag):
+def _reference_keys(x, rows, start, stop, seed, tag, counter=None):
     """Sorted canonical keys of the reference engine's (row, position) pairs.
 
     edge_keys is injective on them: every row's positions lie all above or
     all below the row.
     """
-    rid, pos = skip_rows_reference(x, x[rows], rows, start, stop, seed, tag)
+    rid, pos = skip_rows_reference(x, x[rows], rows, start, stop, seed, tag, counter)
     return np.sort(edge_keys(x.size, rid, pos))
 
 
+def _record_segments(monkeypatch):
+    """A list that collects the (row_ids, start, stop, counter) _skip_block is given."""
+    seen = []
+    skip_block = sampler._skip_block
+
+    def spy(xs, *args):
+        seen.append(args[:4])
+        return skip_block(xs, *args)
+
+    monkeypatch.setattr(sampler, "_skip_block", spy)
+    return seen
+
+
+def _fast_rows(n):
+    rows = np.arange(n - 1, dtype=np.int64)
+    return rows, rows + 1, np.full(rows.size, n, dtype=np.int64)
+
+
+def _expected_proposals(xs, rid, lo, hi):
+    """Expected proposals of each segment under the product bound, summed pair by pair.
+
+    _segments cuts at most _SEGMENT_WORK of them into a segment, give or
+    take the candidates at its two cuts.
+    """
+    return [np.minimum(np.exp(-(xs[r] + xs[a:b])), 1.0).sum() for r, a, b in zip(rid, lo, hi)]
+
+
 class TestSkipEngine:
-    # (gamma, nu, n, growing rows); at gamma = 1.1 the hub rows are the last
-    # ones live, and n = 9 gives 8 rows, which start in the scalar loop
+    # (gamma, nu, n, growing rows); at the default _SEGMENT_WORK the gamma =
+    # 1.1 hubs and the top rows at n = 30000 are cut into segments, and at 4
+    # some row of every case is
     @pytest.mark.parametrize("gamma,nu,n,growing", [
         (2.0, 10.0, 30000, False),
         (1.1, 4.92, 20000, False),
@@ -251,48 +292,125 @@ class TestSkipEngine:
         (2.0, 10.0, 9, False),
     ])
     def test_matches_reference_engine(self, monkeypatch, gamma, nu, n, growing):
-        finished = []
-
-        def spy(*args):
-            hits = finish_row(*args)
-            finished.append(len(hits))
-            return hits
-
-        finish_row = sampler._finish_row
-        monkeypatch.setattr(sampler, "_finish_row", spy)
+        seen = _record_segments(monkeypatch)
         x = np.sort(sample_coordinates(derive_params(gamma, nu, n), 61), kind="stable")
         if growing:
             rows = np.arange(1, n, dtype=np.int64)
             start, stop, tag = np.zeros(rows.size, dtype=np.int64), rows, rng.TAG_GROW_EDGE
         else:
-            rows = np.arange(n - 1, dtype=np.int64)
-            start, stop, tag = rows + 1, np.full(rows.size, n, dtype=np.int64), rng.TAG_EDGE_FAST
-        for seed in (5, 6):
-            got = np.sort(_run_skip_rows(x, rows, start, stop, seed, tag))
-            want = _reference_keys(x, rows, start, stop, seed, tag)
-            assert want.size > 0
-            assert np.array_equal(got, want)
-        assert sum(finished) > 0  # the scalar loop accepted some of the pairs
+            (rows, start, stop), tag = _fast_rows(n), rng.TAG_EDGE_FAST
+        cut, default = {}, sampler._SEGMENT_WORK
+        for work in (default, 4):
+            monkeypatch.setattr(sampler, "_SEGMENT_WORK", work)
+            for seed in (5, 6):
+                seen.clear()
+                got = np.sort(_run_skip_rows(x, rows, start, stop, seed, tag))
+                rid, lo, hi, ctr = (np.concatenate(parts) for parts in zip(*seen))
+                want = _reference_keys(x, rid, lo, hi, seed, tag, ctr)
+                assert want.size > 0
+                assert np.array_equal(got, want)
+                cut[work] = rid.size > rows.size
+        assert cut[4]  # the short segments cut some row
+        assert cut[default] == (gamma == 1.1 or n == 30000)
 
-    def test_int_finalizer_and_prefix_draws(self):
-        z = np.random.default_rng(3).integers(0, 2**64, 10**4, dtype=np.uint64, endpoint=False)
-        z[:2] = (0, 2**64 - 1)
-        assert [rng._finalize_int(int(v)) for v in z] == [int(v) for v in rng._finalize(z)]
-        rows, ctr = z[:100], np.arange(100, dtype=np.uint64)
+    def test_segments_tile_rows_with_disjoint_counters(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_SEGMENT_WORK", 1)
+        monkeypatch.setattr(sampler, "_BLOCK_ROWS", 50)
+        seen = _record_segments(monkeypatch)
+        draws = []
+        draw = rng.draw
+
+        def spy(prefix, counter):
+            draws.append(np.column_stack((prefix, counter)))
+            return draw(prefix, counter)
+
+        monkeypatch.setattr(rng, "draw", spy)
+        n = 400
+        x = np.sort(sample_coordinates(derive_params(1.1, 4.92, n), 8), kind="stable")
+        rows, start, stop = _fast_rows(n)
+        assert _run_skip_rows(x, rows, start, stop, 3, rng.TAG_EDGE_FAST).size > 0
+        rid, lo, hi, ctr = (np.concatenate(parts) for parts in zip(*seen))
+        first = np.r_[True, rid[1:] != rid[:-1]]  # a row's segments come in order
+        last = np.r_[rid[1:] != rid[:-1], True]
+        assert np.array_equal(rid[first], rows)
+        assert np.array_equal(lo[first], start) and np.array_equal(hi[last], stop)
+        assert np.array_equal(lo[1:][~first[1:]], hi[:-1][~first[1:]])
+        assert np.all(lo <= hi)
+        per_row = np.bincount(np.cumsum(first) - 1)
+        assert per_row.max() >= 10  # some row is cut many times
+        assert np.array_equal(ctr, 2 * (lo - np.repeat(start, per_row)))
+        assert max(_expected_proposals(x, rid, lo, hi)) <= sampler._SEGMENT_WORK + 2
+        # no (row, counter) pair is drawn twice, and no row's draws leave its counters
+        pairs = np.concatenate(draws)
+        assert np.unique(pairs, axis=0).shape == pairs.shape
+        heads = rng.hash_u64(3, rng.TAG_EDGE_FAST, rows)
+        row_of = np.argsort(heads)
+        r = row_of[np.searchsorted(heads[row_of], pairs[:, 0])]
+        assert np.array_equal(heads[r], pairs[:, 0])
+        assert np.all(pairs[:, 1] < 2 * (stop[r] - start[r]))
+
+    @pytest.mark.parametrize("gamma,nu,work", [(1.1, 4.92, 0.02), (2.0, 10.0, 0.5)])
+    def test_short_segments_keep_the_law(self, monkeypatch, gamma, nu, work):
+        # criterion 7(a) with most rows cut: fast vs naive on one coordinate draw
+        monkeypatch.setattr(sampler, "_SEGMENT_WORK", work)
+        p = derive_params(gamma, nu, 300)
+        coords = sample_coordinates(p, 4242)
+        seen = _record_segments(monkeypatch)
+        sample_graph_fast(coords, 0)
+        assert (np.unique(seen[0][0], return_counts=True)[1] > 1).mean() > 0.6
+        mf, mn = [], []
+        df = np.zeros(300, dtype=np.int64)
+        dn = np.zeros(300, dtype=np.int64)
+        for r in range(300):
+            gf = sample_graph_fast(coords, 2 * r)
+            gn = sample_graph_naive(coords, 2 * r + 1)
+            mf.append(gf.num_edges)
+            mn.append(gn.num_edges)
+            df += np.bincount(gf.degrees(), minlength=300)[:300]
+            dn += np.bincount(gn.degrees(), minlength=300)[:300]
+        assert sps.ks_2samp(mf, mn).pvalue > 0.01
+        K = 30
+        of = np.append(df[:K], df[K:].sum())
+        on = np.append(dn[:K], dn[K:].sum())
+        keep = (of + on) >= 10
+        assert sps.chi2_contingency(np.vstack([of[keep], on[keep]]))[1] > 0.01
+
+    def test_cut_row_includes_each_pair_with_probability_w(self, monkeypatch):
+        # one hub row against 40 candidates, from s = -3.5 (bound 1) to s = 3.5,
+        # repeated as M rows with their own streams; each is cut into segments
+        monkeypatch.setattr(sampler, "_SEGMENT_WORK", 4)
+        M, K, hub = 100_000, 40, -2.5
+        cand = np.linspace(-1.0, 6.0, K)
+        xs = np.concatenate([np.full(M, hub), cand])
+        seen = _record_segments(monkeypatch)
+        keys = _run_skip_rows(xs, np.arange(M), np.full(M, M), np.full(M, M + K),
+                              12, rng.TAG_EDGE_FAST)
+        rid, lo, hi, _ = seen[0]
+        assert np.bincount(rid).min() >= 5  # segments per row
+        assert max(_expected_proposals(xs, rid[:20], lo[:20], hi[:20])) <= 4 + 2
+        hits = np.bincount(keys % xs.size - M, minlength=K)
+        w = w_fermi_dirac(hub, cand)
+        z = (hits / M - w) / np.sqrt(w * (1 - w) / M)
+        assert np.abs(z).max() <= 4.0
+
+    def test_prefix_draws_match_uniform(self):
+        z = np.random.default_rng(3).integers(0, 2**64, 100, dtype=np.uint64, endpoint=False)
+        rows, ctr = z, np.arange(100, dtype=np.uint64)
         heads = rng.hash_u64(9, rng.TAG_EDGE_FAST, rows)
         want = rng.uniform(9, rng.TAG_EDGE_FAST, rows, ctr)
         assert np.array_equal(rng.draw(heads, ctr), want)
-        assert [rng.draw(int(h), int(c)) for h, c in zip(heads, ctr)] == want.tolist()
 
 
 class TestGrowingSampler:
-    def test_projective_prefix_bytes(self):
+    def test_projective_prefix_bytes(self, monkeypatch):
         p2000 = derive_params(2.0, 10.0, 2000)
         p1000 = derive_params(2.0, 10.0, 1000)
-        g_big, c_big = sample_graph_growing(p2000, 4242)
-        g_small, c_small = sample_graph_growing(p1000, 4242)
-        assert prefix(g_big, 1000).edges.tobytes() == g_small.edges.tobytes()
-        assert c_big[:1000].tobytes() == c_small.tobytes()
+        for work in (sampler._SEGMENT_WORK, 2):  # then with most rows cut
+            monkeypatch.setattr(sampler, "_SEGMENT_WORK", work)
+            g_big, c_big = sample_graph_growing(p2000, 4242)
+            g_small, c_small = sample_graph_growing(p1000, 4242)
+            assert prefix(g_big, 1000).edges.tobytes() == g_small.edges.tobytes()
+            assert c_big[:1000].tobytes() == c_small.tobytes()
 
     def test_poisson_position_mean(self):
         # v_n = exp(2 x_n) / 2 is Gamma(n, delta): mean n / delta
