@@ -224,52 +224,43 @@ def _skip_block(xs, row_ids, start, stop, counter, seed, tag):
     counter-based stream (seed, tag, row_ids[r], k) with k from counter[r]
     on: the prefix (seed, tag, row_ids[r]) is hashed once when the row
     enters, and draw k is one finalizer of prefix ^ k.  Results are
-    therefore independent of how rows are batched.  All live rows step
-    together as arrays; _segments keeps each row's expected number of steps
-    bounded.
+    therefore independent of how rows are batched.  All live rows take one
+    step per loop pass as arrays: a geometric jump under the bound at the
+    last visited candidate, a thin at the landing, and one compaction that
+    drops the rows past their stop.  _segments keeps each row's expected
+    number of steps bounded.
     """
     live = start < stop
     pos, stp, rid, ctr = start[live], stop[live], row_ids[live], counter[live]
     rx = xs[rid]
     pre = rng.hash_u64(seed, tag, rid)
-
-    s = rx + xs[pos]
-    pb = np.where(s <= 0.0, 1.0, np.exp(-np.clip(s, 0.0, None)))
-    one = np.uint64(1)
+    s = rx + xs[pos]  # x_r + x of the last visited candidate (the first, to start)
 
     while pos.size:
-        # Geometric jump at the current bound (rows at bound 1 stay put).
-        jump = pb < 1.0
-        if jump.any():
-            u = rng.draw(pre[jump], ctr[jump])
-            ctr[jump] += one
-            with np.errstate(divide="ignore", invalid="ignore"):
-                g = np.log1p(-u) / np.log1p(-pb[jump])
-            rem = (stp[jump] - pos[jump]).astype(float)
-            g = np.where(np.isfinite(g), np.minimum(np.floor(g), rem), rem)
-            pos[jump] += g.astype(np.int64)
+        # Geometric jump under the bound at s.  A row at bound 1 jumps 0 and
+        # keeps its counter, so its thin draw reuses the jump's.
+        pb = np.where(s <= 0.0, 1.0, np.exp(-np.clip(s, 0.0, None)))
+        u = rng.draw(pre, ctr)
+        ctr += pb < 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.log1p(-u) / np.log1p(-pb)
+        rem = (stp - pos).astype(float)
+        pos += np.where(np.isfinite(g), np.minimum(np.floor(g), rem), rem).astype(np.int64)
 
-        live = pos < stp
-        if not live.all():
-            pos, stp, rx, rid, pre, ctr, pb = (
-                a[live] for a in (pos, stp, rx, rid, pre, ctr, pb))
-
-        # Thin the landing to the Fermi-Dirac probability.
-        s = rx + xs[pos]
-        w = _logistic_neg(s)
-        u2 = rng.draw(pre, ctr)
-        ctr += one
-        acc = u2 * pb < w
+        # Thin the landing to the Fermi-Dirac probability; a row whose jump
+        # reached its stop accepts nothing and is dropped below.
+        s = rx + xs.take(pos, mode="clip")
+        u = rng.draw(pre, ctr)
+        ctr += np.uint64(1)
+        acc = (u * pb < _logistic_neg(s)) & (pos < stp)
         if acc.any():
             yield rid[acc], pos[acc]
 
-        # Tighten the bound to the just-visited position and advance.
-        pb = np.where(s <= 0.0, 1.0, np.exp(-np.clip(s, 0.0, None)))
         pos += 1
         live = pos < stp
         if not live.all():
-            pos, stp, rx, rid, pre, ctr, pb = (
-                a[live] for a in (pos, stp, rx, rid, pre, ctr, pb))
+            pos, stp, rx, rid, pre, ctr, s = (
+                a[live] for a in (pos, stp, rx, rid, pre, ctr, s))
 
 
 def sample_graph_fast(x: np.ndarray, seed: int) -> Graph:
