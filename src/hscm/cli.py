@@ -37,12 +37,13 @@ from .theory import DegreeLaw, expected_avg_degree_finite_n, finite_size_degree_
 
 
 # Peak bytes of sampling one replica, from tracemalloc of sample_replica at
-# n=1e6.  Node-bound runs peak at 115 bytes per node (fast, gamma=2, nu=0.1)
-# and 141 (growing, gamma=1.1, nu=4.92), of which 64 are key capacity the
-# skip engine reserves and never writes; edge-bound runs add 16 bytes per
-# edge, the key and its copy while the key buffer doubles (fast, gamma=2,
-# nu=40: 434 MB for 20.0M edges).  The written parts bound the resident
-# growth (301 MB at nu=40); at nu=10 the process peaks at 178 MB.
+# n=1e6 with rows cut into segments of 64 expected proposals.  Node-bound
+# runs peak at 115 bytes per node (fast, gamma=2, nu=0.1) and 140 (growing,
+# gamma=1.1, nu=4.92), of which 64 are key capacity the skip engine
+# reserves and never writes; edge-bound runs add 16 bytes per edge, the key
+# and its copy while the key buffer doubles (fast, gamma=2, nu=40: 433 MB
+# for 20.0M edges).  The written parts bound the resident growth (301 MB at
+# nu=40); at nu=10 the process peaks at 172-178 MB.
 _BYTES_PER_NODE = 80
 _BYTES_PER_EDGE = 16
 # The growing sampler at gamma != 2 matches the equilibrium edge count only

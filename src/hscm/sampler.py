@@ -25,7 +25,7 @@ from .params import EnsembleParams, mu_n_quantile
 
 NAIVE_SIZE_GUARD = 30_000
 _NAIVE_BLOCK = 1 << 20  # upper-triangle pairs the naive sampler draws at once
-_SEGMENT_WORK = 256  # expected proposals above which the skip engine cuts a row
+_SEGMENT_WORK = 64  # expected proposals above which the skip engine cuts a row
 _BLOCK_ROWS = 1 << 16  # rows the skip engine steps at once
 _KEY_CHUNK = 1 << 16  # keys edges_from_keys converts at once
 
@@ -191,10 +191,12 @@ def _segments(xs, e, rid, a, b):
     A row expecting more than _SEGMENT_WORK proposals under the product
     bound, (d - a) + exp(-x_r) sum_{d <= j < b} exp(-xs[j]) over candidates
     [a, b) where d ends those with x_r + xs[j] <= 0, is cut into segments of
-    about equal expected work; the estimate only sizes them.  A segment's
-    first counter is twice its offset into the row: a step spends at most 2
-    draws per candidate it passes, so segments never share a draw, and a
-    row that is not cut draws from counter 0.
+    about equal expected work; the estimate only sizes them.  The bound is
+    small because a loop step costs numpy's call overhead however few rows
+    are live.  A segment's first counter is twice its offset into the row:
+    a step advances a row's counter by at most 2 per candidate it passes,
+    so segments never share a draw, and a row that is not cut draws from
+    counter 0.
     """
     rx = xs[rid]
     d = np.clip(np.searchsorted(xs, -rx, side="right"), a, b)

@@ -30,14 +30,15 @@ def test_writer_output_is_golden(tmp_path):
 
 
 # SHA-256 of `hscm generate` output: these pin the samplers' edges as well as
-# the writer.  The last one was re-captured when the skip engine began to cut
-# rows that expect more than 256 proposals into segments: its top row
-# expects 758, while no row of the other cases expects more than 134.
+# the writer.  The three fast digests at n = 200, 300 and 30000 were
+# re-captured when the skip engine began to cut rows that expect more than
+# 64 proposals (256 before) into segments: their top rows expect 134, 111
+# and 758, while no row of the growing cases expects more than 3.
 GOLDEN = [
     ("fast", 2.0, 10.0, 200, 7, 0,
-     "acbac3843f57b767b9f5fe40e9466bf75c1a5c1df61320cefc48b009e2e58924"),
+     "1817ac89573932d80d72d9cb86b1ee8650aa6585c0971e6ee6a3d87f7b12a684"),
     ("fast", 1.1, 4.92, 300, 11, 0,
-     "3075026c105a1c1eb1061b26bfdfac496c22231478f3f8d4ae1f68069356c9c4"),
+     "1ff911935dfed06d54358bc651b4491f71e6e020e804ee5367a77f16eaaca909"),
     ("naive", 2.5, 3.0, 150, 3, 0,
      "1eca76657b9200b4bed2023b1400998da499c57a767fd7b23c7c571e45109e8e"),
     ("growing", 2.0, 5.0, 120, 5, 0,
@@ -50,7 +51,7 @@ GOLDEN = [
      "6b6b5d63a98904712b5221fdc8f0a9056d2c54265cc3df64d1d2f33bf8a52b2e"),
     # ~150k edges, and rows cut into segments
     ("fast", 2.0, 10.0, 30000, 3, 1,
-     "24204910dceefb1fef0e9fe47db54113cedb09cfb7d542ce6f7b9288e1e78a9b"),
+     "cc9c0906748342e546e6cf6aa5fd0cc3dbb6c38fec5464a56bb6c0f778b982f1"),
 ]
 
 

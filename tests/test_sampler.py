@@ -393,6 +393,22 @@ class TestSkipEngine:
         z = (hits / M - w) / np.sqrt(w * (1 - w) / M)
         assert np.abs(z).max() <= 4.0
 
+    @pytest.mark.parametrize("n", [500, 10_000])
+    def test_small_graphs_take_few_steps(self, monkeypatch, n):
+        # a row that expects a few hundred proposals holds the loop for as
+        # many steps, each paying numpy's call overhead for a handful of rows;
+        # cutting such rows keeps the draw calls of a small replica low
+        calls = []
+        draw = rng.draw
+
+        def spy(prefix, counter):
+            calls.append(1)
+            return draw(prefix, counter)
+
+        monkeypatch.setattr(rng, "draw", spy)
+        assert sample_replica(derive_params(2.0, 10.0, n), 1, 0).num_edges > 0
+        assert len(calls) <= 256
+
     def test_prefix_draws_match_uniform(self):
         z = np.random.default_rng(3).integers(0, 2**64, 100, dtype=np.uint64, endpoint=False)
         rows, ctr = z, np.arange(100, dtype=np.uint64)
