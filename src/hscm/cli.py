@@ -38,32 +38,27 @@ from .theory import DegreeLaw, expected_avg_degree_finite_n, finite_size_degree_
 
 # Peak bytes of sampling one replica, from tracemalloc of sample_replica at
 # n=1e6 with rows cut into segments of 64 expected proposals.  Node-bound
-# runs peak at 115 bytes per node (fast, gamma=2, nu=0.1) and 140 (growing,
-# gamma=1.1, nu=4.92), of which 64 are key capacity the skip engine
+# runs peak at 115 bytes per node (fast, gamma=2, nu=0.1) and 108 (growing,
+# gamma=2, nu=0.1 and nu=10), of which 64 are key capacity the skip engine
 # reserves and never writes; edge-bound runs add 16 bytes per edge, the key
 # and its copy while the key buffer doubles (fast, gamma=2, nu=40: 433 MB
 # for 20.0M edges).  The written parts bound the resident growth (301 MB at
 # nu=40); at nu=10 the process peaks at 172-178 MB.
 _BYTES_PER_NODE = 80
 _BYTES_PER_EDGE = 16
-# The growing sampler at gamma != 2 matches the equilibrium edge count only
-# asymptotically; at n=1e5 it draws 0.08 (gamma=1.1) to 3.8 (gamma=50) times
-# as many edges, so its edge estimate is taken this many times over.
-_GROWING_HEADROOM = 4
 
 
 def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _check_memory(p, variant, workers):
+def _check_memory(p, workers):
     """SizeGuardError unless `workers` replicas of p can be sampled at once in RAM.
 
     The expected edge count of a replica is C(n, 2) * E[W].
     """
     edges = 0.5 * p.n * (p.n - 1) * mean_kernel_value(p)
-    headroom = _GROWING_HEADROOM if variant == "growing" and p.gamma != 2.0 else 1
-    need = workers * (_BYTES_PER_NODE * p.n + _BYTES_PER_EDGE * headroom * edges)
+    need = workers * (_BYTES_PER_NODE * p.n + _BYTES_PER_EDGE * edges)
     have = _physical_memory()
     if need > have:
         raise SizeGuardError(
@@ -85,7 +80,7 @@ def _generate_graphs(cfg, p):
     that many worker processes with one replica pending on each.
     """
     workers = min(cfg.jobs, cfg.replicas, os.cpu_count() or 1)
-    _check_memory(p, cfg.sampler, workers)
+    _check_memory(p, workers)
     task = functools.partial(_timed_replica, p, cfg.seed, cfg.sampler)
     if workers == 1:
         yield from map(task, range(cfg.replicas))
@@ -276,7 +271,8 @@ def _add_sampling_args(sp):
     sp.add_argument("--replicas", type=_at_least(1), default=1)
     sp.add_argument("--seed", type=int, required=True,
                     help="master seed (replica seeds are derived from it)")
-    sp.add_argument("--sampler", choices=["fast", "naive", "growing"], default="fast")
+    sp.add_argument("--sampler", choices=["fast", "naive", "growing"], default="fast",
+                    help="growing is the projective chain, for gamma = 2 only")
     sp.add_argument("--jobs", type=_at_least(1), default=1, help="parallel replica workers")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import SizeGuardError
+from .errors import DomainError, SizeGuardError
 from .graphon import _logistic_neg
 from .params import EnsembleParams, mu_n_quantile
 
@@ -284,34 +284,21 @@ def sample_graph_fast(x: np.ndarray, seed: int) -> Graph:
 
 
 def sample_graph_growing(p: EnsembleParams, seed: int):
-    """Grow a graph node by node to p.n nodes; returns (Graph, coordinates).
+    """Grow a graph node by node to p.n nodes at gamma = 2; returns (Graph, coordinates).
 
-    For gamma == 2 the chain is the exactly-projective construction: node t
-    sits at x_t = 0.5*log(2 v_t) where v_t is a rate-delta Poisson process on
-    the positive half line.  For other gamma node t is drawn from the latent
-    measure restricted to the t'th support increment (r_{t-1}, r_t], one node
-    per increment.  So a fraction t/n of the nodes lies below r_t for every
-    gamma, the spread of gamma = 2 rather than of the equilibrium law, and
-    this variant is a different ensemble at every size: at nu = 10 its edge
-    count is about 0.45 (gamma = 1.5) and 1.77 (gamma = 3) times the
-    equilibrium C(n, 2) E[W] for n from 1e5 to 3e6.  Both keep coordinates
-    strictly increasing, and node t links to earlier nodes from its own seed
-    streams, so the first n' nodes of a longer run are byte-identical to a
-    run of size n' with the same seed.
+    Node t sits at x_t = 0.5*log(2 v_t) where v_t is a rate-delta Poisson
+    process on the positive half line, which restricts to the size-n
+    ensemble for every n only at gamma = 2; other gamma raise DomainError.
+    Coordinates are strictly increasing, and node t links to earlier nodes
+    from its own seed streams, so the first n' nodes of a longer run are
+    byte-identical to a run of size n' with the same seed.
     """
+    if p.gamma != 2.0:
+        raise DomainError(f"the growing sampler is the HSCM only at gamma=2, "
+                          f"not gamma={p.gamma:g}")
     t = np.arange(p.n, dtype=np.int64)
     u = 1.0 - rng.uniform(seed, rng.TAG_GROW_COORD, t.astype(np.uint64))
-    if p.gamma == 2.0:
-        v = np.cumsum(-np.log(u) / (p.nu / 2.0))
-        x = 0.5 * np.log(2.0 * v)
-    else:
-        scale = p.beta * p.beta * p.nu
-        sizes = (t + 1).astype(float)
-        r_t = 0.5 * np.log(sizes / scale)
-        r_prev = 0.5 * np.log(np.maximum(sizes - 1.0, 1.0) / scale)
-        q = np.exp(-p.gamma * (r_t - r_prev))
-        q[0] = 0.0  # first increment is the whole support
-        x = r_t + np.log(q + u * (1.0 - q)) / p.gamma
+    x = 0.5 * np.log(2.0 * np.cumsum(-np.log(u) / (p.nu / 2.0)))
     rows = t[1:]
     keys = _run_skip_rows(x, rows, np.broadcast_to(0, rows.shape), rows,
                           seed, rng.TAG_GROW_EDGE)
@@ -325,7 +312,12 @@ def sample_replica(p: EnsembleParams, seed: int, index: int, variant: str = "fas
     (seed, TAG_REPLICA), so each replica is an independent, reproducible draw.
     """
     coord_seed, edge_seed = (rng.subseed(seed, rng.TAG_REPLICA, 2 * index + k) for k in (0, 1))
-    if variant == "growing":
-        return sample_graph_growing(p, coord_seed)[0]
-    sample_edges = sample_graph_naive if variant == "naive" else sample_graph_fast
-    return sample_edges(sample_coordinates(p, coord_seed), edge_seed)
+    samplers = {
+        "fast": lambda: sample_graph_fast(sample_coordinates(p, coord_seed), edge_seed),
+        "naive": lambda: sample_graph_naive(sample_coordinates(p, coord_seed), edge_seed),
+        "growing": lambda: sample_graph_growing(p, coord_seed)[0],
+    }
+    if variant not in samplers:
+        raise DomainError(f"unknown sampler variant {variant!r}; "
+                          f"expected one of {', '.join(samplers)}")
+    return samplers[variant]()

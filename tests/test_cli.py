@@ -379,6 +379,17 @@ class TestScmIngestAndErrors:
         assert run_cli("theory", "--gamma", 0.5, "--nu", 10, "--n", 100,
                        "--out", tmp_path) == 2
 
+    # the growing chain is the HSCM only at gamma = 2; with --jobs 2 the
+    # refusal comes back from a worker process
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("command", ["generate", "degrees"])
+    def test_growing_sampler_off_gamma_2_exit_2(self, tmp_path, capsys, command, jobs):
+        out = tmp_path / "out"
+        assert run_cli(command, "--gamma", 1.5, "--nu", 10, "--n", 100, "--replicas", 2,
+                       "--jobs", jobs, "--seed", 1, "--sampler", "growing", "--out", out) == 2
+        assert "gamma=1.5" in capsys.readouterr().err
+        assert list(out.iterdir()) == []  # no .edges file, no meta.json
+
     # numpy refuses the 7 TiB coordinate array at once: nothing is allocated
     @pytest.mark.parametrize("command", ["generate", "degrees"])
     def test_huge_n_out_of_memory_exit_2(self, tmp_path, capsys, command):

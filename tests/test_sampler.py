@@ -6,7 +6,7 @@ from scipy import stats as sps
 
 from oracles import omega_n, prefix, skip_rows_reference
 from hscm import rng, sampler
-from hscm.errors import SizeGuardError
+from hscm.errors import DomainError, SizeGuardError
 from hscm.graphon import expected_degree_fn, w_fermi_dirac
 from hscm.params import derive_params
 from hscm.sampler import (
@@ -439,18 +439,27 @@ class TestGrowingSampler:
         se = math.sqrt(n / delta**2 / reps)
         assert abs(np.mean(vals) - n / delta) <= 3.0 * se
 
-    def test_coordinates_increasing_both_variants(self):
-        for gamma in (2.0, 1.4):
-            _, x = sample_graph_growing(derive_params(gamma, 5.0, 2000), 3)
-            assert np.all(np.diff(x) > 0)
-            assert np.all(np.diff(0.5 * np.exp(2.0 * x)) > 0)
+    def test_coordinates_increasing(self):
+        _, x = sample_graph_growing(derive_params(2.0, 5.0, 2000), 3)
+        assert np.all(np.diff(x) > 0)
+        assert np.all(np.diff(0.5 * np.exp(2.0 * x)) > 0)
 
-    @pytest.mark.parametrize("gamma", [2.0, 1.4])
+    @pytest.mark.parametrize("gamma", [2.0])
     @pytest.mark.parametrize("n", [1, 2])
     def test_tiny_chain_is_valid(self, gamma, n):
         g, x = sample_graph_growing(derive_params(gamma, 5.0, n), 11)
         assert x.shape == (n,) and g.n == n
         assert g.first_fault() is None
+
+    # the chain restricts to the size-n ensemble for every n only at gamma = 2
+    @pytest.mark.parametrize("gamma", [1.4, 3.0])
+    def test_other_gamma_is_refused_before_drawing(self, monkeypatch, gamma):
+        def refuse(*args):
+            pytest.fail("a coordinate was drawn")
+
+        monkeypatch.setattr(rng, "uniform", refuse)
+        with pytest.raises(DomainError, match=f"gamma={gamma:g}"):
+            sample_graph_growing(derive_params(gamma, 5.0, 100), 11)
 
     def test_growing_matches_equilibrium_average_degree(self):
         p = derive_params(2.0, 10.0, 2000)
@@ -477,3 +486,8 @@ class TestGrowingSampler:
         pg[: min(K + 1, pg_full.size)] = pg_full[: K + 1]
         tv = 0.5 * (np.abs(pe - pg).sum() + abs(pe.sum() - pg.sum()))
         assert tv < 0.02
+
+
+def test_unknown_variant_is_refused():
+    with pytest.raises(DomainError, match="unknown sampler variant 'nonsense'"):
+        sample_replica(derive_params(2.0, 10.0, 100), 1, 0, "nonsense")

@@ -3,8 +3,10 @@
 Every top-level function and class, and every method other than a dunder,
 defined in src/hscm/*.py (the package __init__ aside) must be named
 somewhere in those modules outside its own definition: by a Name, an
-Attribute or a from-import.  Code that only the tests or the package's
-exports reach belongs in tests/oracles.py.
+Attribute or a from-import.  Every module-level constant they assign,
+tuple targets included, must be read in them as a Name or an Attribute, so
+a deleted branch cannot leave its constant behind.  Code that only the
+tests or the package's exports reach belongs in tests/oracles.py.
 """
 
 import ast
@@ -44,13 +46,49 @@ def _uses(tree):
     return names
 
 
-def test_every_definition_is_used_inside_the_library():
+def _constants(tree):
+    """Each name other than a dunder that a module-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for leaf in ast.walk(target):
+                if isinstance(leaf, ast.Name) and not _is_dunder(leaf.id):
+                    yield leaf.id
+
+
+def _reads(tree):
+    """How often each name is read as a Name or an Attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute))
+                   and isinstance(node.ctx, ast.Load))
+
+
+def _library():
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert trees, f"no modules under {SRC}"
+    return trees
+
+
+def test_every_definition_is_used_inside_the_library():
+    trees = _library()
     total = sum((_uses(tree) for tree in trees.values()), Counter())
     unused = [f"{module}: {qualified}"
               for module, tree in trees.items()
               for qualified, name, node in _definitions(tree)
               if total[name] - _uses(node)[name] <= 0]
     assert not unused, "defined in src/hscm but used nowhere in it:\n" + "\n".join(unused)
+
+
+def test_every_constant_is_read_inside_the_library():
+    trees = _library()
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    unread = [f"{module}: {name}" for module, tree in trees.items()
+              for name in _constants(tree) if not reads[name]]
+    assert not unread, "assigned in src/hscm but read nowhere in it:\n" + "\n".join(unread)
