@@ -453,13 +453,14 @@ class TestGrowingSampler:
 
     # the chain restricts to the size-n ensemble for every n only at gamma = 2
     @pytest.mark.parametrize("gamma", [1.4, 3.0])
-    def test_other_gamma_is_refused_before_drawing(self, monkeypatch, gamma):
+    @pytest.mark.parametrize("n", [1, 2, 100])
+    def test_other_gamma_is_refused_before_drawing(self, monkeypatch, gamma, n):
         def refuse(*args):
             pytest.fail("a coordinate was drawn")
 
         monkeypatch.setattr(rng, "uniform", refuse)
         with pytest.raises(DomainError, match=f"gamma={gamma:g}"):
-            sample_graph_growing(derive_params(gamma, 5.0, 100), 11)
+            sample_graph_growing(derive_params(gamma, 5.0, n), 11)
 
     def test_growing_matches_equilibrium_average_degree(self):
         p = derive_params(2.0, 10.0, 2000)
