@@ -28,7 +28,6 @@ from .errors import (
     QuadratureError,
     SizeGuardError,
 )
-from .graphon import mean_kernel_value
 from .params import derive_params
 from .sampler import sample_coordinates, sample_replica
 from .scm import hscm_to_scm, solve_scm
@@ -55,9 +54,9 @@ def _physical_memory() -> int:
 def _check_memory(p, workers):
     """SizeGuardError unless `workers` replicas of p can be sampled at once in RAM.
 
-    The expected edge count of a replica is C(n, 2) * E[W].
+    The expected edge count of a replica is n/2 times the expected average degree.
     """
-    edges = 0.5 * p.n * (p.n - 1) * mean_kernel_value(p)
+    edges = 0.5 * p.n * expected_avg_degree_finite_n(p)
     need = workers * (_BYTES_PER_NODE * p.n + _BYTES_PER_EDGE * edges)
     have = _physical_memory()
     if need > have:
@@ -217,8 +216,8 @@ def cmd_scm_solve(cfg) -> int:
         "residual": inst.residual,
         "residual_path": list(inst.residual_path),
         "cg_iterations": inst.cg_iterations,
-        "expected_degrees": [float(v) for v in inst.expected_degrees],
-        "multipliers": [float(v) for v in inst.multipliers],
+        "expected_degrees": inst.expected_degrees.tolist(),
+        "multipliers": inst.multipliers.tolist(),
     })
     return 0
 
@@ -238,7 +237,7 @@ def cmd_ingest(cfg) -> int:
         "command": "ingest",
         "config": {"path": cfg.path},
         "n": hist.n,
-        "edges": int(hist.counts @ np.arange(hist.counts.size)) // 2,
+        "edges": int(hist.edges_per_graph[0]),
         "duplicates_dropped": hist.duplicates_dropped,
         "self_loops_dropped": hist.self_loops_dropped,
         "avg_degree": hist.mean_degree(),

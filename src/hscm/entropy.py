@@ -24,9 +24,11 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import DomainError
-from .graphon import bernoulli_entropy, bernoulli_entropy_logit, expectation_of_sum
+from .graphon import _logistic_neg, bernoulli_entropy, bernoulli_entropy_logit, expectation_of_sum
 from .params import EnsembleParams
 from .quadrature import gauss_legendre_nodes
+
+_GL_ORDER = 16  # Gauss-Legendre nodes per interval in averaged_graphon
 
 
 def partition(p: EnsembleParams, m_n: int) -> np.ndarray:
@@ -43,12 +45,12 @@ def interval_masses(p: EnsembleParams, m_n: int) -> np.ndarray:
     return np.diff(np.exp(np.minimum(p.gamma * (partition(p, m_n) - p.r_n), 0.0)))
 
 
-def graphon_entropy(p: EnsembleParams, rtol: float = 1e-7) -> float:
+def graphon_entropy(p: EnsembleParams) -> float:
     """Graphon entropy sigma = E[H(W(X + Y))], a 1D Gamma(2, gamma) integral."""
-    return expectation_of_sum(p, bernoulli_entropy_logit, rtol)
+    return expectation_of_sum(p, bernoulli_entropy_logit, 1e-7)
 
 
-def averaged_graphon(p: EnsembleParams, m_n: int, gl_order: int = 16) -> np.ndarray:
+def averaged_graphon(p: EnsembleParams, m_n: int) -> np.ndarray:
     """Means of W and of H(W) over the partition boxes, shape (2, 3 m_n - 3).
 
     Row 0 holds the box means of W, row 1 those of H(W), on the same nodes.
@@ -67,24 +69,17 @@ def averaged_graphon(p: EnsembleParams, m_n: int, gl_order: int = 16) -> np.ndar
     gamma = p.gamma
     rho = partition(p, m_n)
     width = rho[2] - rho[1]
-    un, w0 = gauss_legendre_nodes(0.0, 1.0, gl_order)
+    un, w0 = gauss_legendre_nodes(0.0, 1.0, _GL_ORDER)
     x0 = rho[1] + np.log(un) / gamma
-    x1, w1 = gauss_legendre_nodes(rho[1], rho[2], gl_order)
+    x1, w1 = gauss_legendre_nodes(rho[1], rho[2], _GL_ORDER)
     w1 = w1 * gamma * np.exp(gamma * (x1 - rho[2])) / -math.expm1(-gamma * width)
     shifts = width * np.arange(2 * m_n - 3)  # finite box (s, t) at shift index s + t - 2
 
     def box_means(shift, x, weights):
         s = shift[:, None] + x[None, :]
-        a = np.abs(s)
-        t = np.exp(-a)
-        u = 1.0 + t
-        w = t / u  # W(|s|)
-        h = np.log1p(t)
-        h += a * w  # H(W(s)) = log(1 + exp(-|s|)) + |s| W(|s|)
-        np.divide(1.0, u, out=w, where=s < 0.0)  # W(s) = 1 / (1 + exp(s)) for s < 0
-        return np.stack((w, h)) @ weights
+        return np.stack((_logistic_neg(s), bernoulli_entropy_logit(s))) @ weights
 
-    i, j = np.triu_indices(gl_order)  # a box of one node set with itself is symmetric:
+    i, j = np.triu_indices(_GL_ORDER)  # a box of one node set with itself is symmetric:
     twice = np.where(i == j, 1.0, 2.0)  # each node pair once, off-diagonal weight doubled
     return np.concatenate((box_means(np.zeros(1), x0[i] + x0[j], w0[i] * w0[j] * twice),
                            box_means(shifts[:m_n - 1], np.add.outer(x1, x0).ravel(),

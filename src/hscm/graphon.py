@@ -70,7 +70,7 @@ def expected_degree_fn(p: EnsembleParams, x):
     return out if out.ndim else float(out)
 
 
-def expectation_of_sum(p: EnsembleParams, f_of_sum, rtol=1e-11) -> float:
+def expectation_of_sum(p: EnsembleParams, f_of_sum, rtol: float) -> float:
     """E[f(X + Y)] with X, Y independent draws from the latent measure.
 
     r_n - X is Exp(gamma), so t = 2 r_n - (X + Y) has the Gamma(2, gamma)
@@ -93,6 +93,6 @@ def expectation_of_sum(p: EnsembleParams, f_of_sum, rtol=1e-11) -> float:
     return head + tail
 
 
-def mean_kernel_value(p: EnsembleParams, rtol=1e-11) -> float:
+def mean_kernel_value(p: EnsembleParams) -> float:
     """E[W(X, Y)] with X, Y independent draws from the latent measure."""
-    return expectation_of_sum(p, lambda s: w_fermi_dirac(s, 0.0), rtol)
+    return expectation_of_sum(p, lambda s: w_fermi_dirac(s, 0.0), 1e-11)

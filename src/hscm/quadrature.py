@@ -11,7 +11,7 @@ from scipy.special import roots_legendre
 from .errors import QuadratureError
 
 
-def quad_checked(f, a, b, rtol=1e-10, points=None, limit=200):
+def quad_checked(f, a, b, rtol=1e-10, points=None):
     """scipy.integrate.quad that raises QuadratureError instead of warning.
 
     The error estimate must satisfy abserr <= rtol * |value|; that
@@ -20,7 +20,7 @@ def quad_checked(f, a, b, rtol=1e-10, points=None, limit=200):
     is infinite, as required by scipy).
     """
     infinite = np.isinf(a) or np.isinf(b)
-    kwargs = {"epsabs": 1e-300, "epsrel": rtol, "limit": limit}
+    kwargs = {"epsabs": 1e-300, "epsrel": rtol, "limit": 200}
     if points is not None and not infinite:
         pts = [float(t) for t in points if min(a, b) < t < max(a, b)]
         if pts:

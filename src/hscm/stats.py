@@ -13,7 +13,7 @@ from .graphon import expected_degree_fn
 from .params import EnsembleParams, mu_n_quantile
 from .quadrature import gauss_legendre_nodes
 from .io import _reject_ids, parse_edge_list
-from .sampler import edge_keys
+from .sampler import Graph, edge_keys, edges_from_keys
 from .theory import DegreeLaw, expected_avg_degree_finite_n
 
 
@@ -80,7 +80,10 @@ def tv_distance_lumped(p_emp: np.ndarray, q: np.ndarray, k_max: int) -> float:
     return 0.5 * (np.abs(pe - q).sum() + abs(pe_tail - q_tail))
 
 
-def finite_n_degree_pmf(p: EnsembleParams, k_max: int, nodes: int = 512) -> np.ndarray:
+_PMF_NODES = 512  # Gauss-Legendre nodes of finite_n_degree_pmf
+
+
+def finite_n_degree_pmf(p: EnsembleParams, k_max: int) -> np.ndarray:
     """Mixed-Poisson pmf with the finite-n mixing kappa_n(X), by quadrature.
 
     The latent quantile u is substituted as u = z**gamma so that the mixing
@@ -88,7 +91,7 @@ def finite_n_degree_pmf(p: EnsembleParams, k_max: int, nodes: int = 512) -> np.n
     Gauss-Legendre nodes; kappa_n at the nodes is the closed-form expected
     degree.  Returns pmf(0..k_max); the deficit to 1 is the tail mass.
     """
-    z, wz = gauss_legendre_nodes(0.0, 1.0, nodes)
+    z, wz = gauss_legendre_nodes(0.0, 1.0, _PMF_NODES)
     w = wz * p.gamma * z ** (p.gamma - 1.0)
     kappa = expected_degree_fn(p, mu_n_quantile(p, z ** p.gamma))
     ks = np.arange(k_max + 1, dtype=float)
@@ -169,8 +172,6 @@ def _mle_alpha(mean_log: float, k_min: int) -> float:
     lo, hi = _ALPHA_LO, _ALPHA_HI
     if g(hi) > 0.0:  # sample mean-log below the model's infimum
         return _ALPHA_HI
-    if g(lo) < 0.0:
-        return _ALPHA_LO
     for _ in range(70):
         mid = 0.5 * (lo + hi)
         if g(mid) > 0.0:
@@ -180,12 +181,12 @@ def _mle_alpha(mean_log: float, k_min: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def tail_exponent_fit(h: DegreeHistogram, k_min: int | None = None) -> TailFit:
+def tail_exponent_fit(h: DegreeHistogram) -> TailFit:
     """Discrete maximum-likelihood power-law fit of the histogram tail.
 
-    The exponent solves the Hurwitz-zeta likelihood equation; when k_min is
-    not given it is chosen to minimize the Kolmogorov-Smirnov distance over
-    candidate cutoffs that keep at least 100 tail samples.  Degenerate inputs
+    The exponent solves the Hurwitz-zeta likelihood equation, with the cutoff
+    k_min chosen to minimize the Kolmogorov-Smirnov distance over candidate
+    cutoffs that keep at least 100 tail samples.  Degenerate inputs
     (too little tail, no power-law decay) raise InsufficientTailError.
     """
     counts = h.counts.astype(np.int64)
@@ -193,18 +194,14 @@ def tail_exponent_fit(h: DegreeHistogram, k_min: int | None = None) -> TailFit:
     present = ks[(counts > 0) & (ks >= 1)]
     if present.size < 2:
         raise InsufficientTailError("histogram has fewer than two positive-degree values")
-    if k_min is not None:
-        candidates = [int(k_min)]
-    else:
-        cand = present[:-1]
-        if cand.size > 64:  # thin the scan, keeping the log profile
-            keep = np.geomspace(cand[0], cand[-1], 64)
-            idx = np.searchsorted(cand, keep, side="left").clip(0, cand.size - 1)
-            cand = np.unique(cand[idx])
-        candidates = [int(k) for k in cand]
+    cand = present[:-1]
+    if cand.size > 64:  # thin the scan, keeping the log profile
+        keep = np.geomspace(cand[0], cand[-1], 64)
+        idx = np.searchsorted(cand, keep, side="left").clip(0, cand.size - 1)
+        cand = np.unique(cand[idx])
 
     best = None
-    for km in candidates:
+    for km in cand.tolist():
         sel = ks >= km
         c = counts[sel]
         kv = ks[sel]
@@ -239,7 +236,8 @@ def ingest_edge_list(path) -> DegreeHistogram:
     raises EdgeListParseError); without one, n is one past the largest id
     and ids are 1-indexed when no zero id appears.  Self-loops and duplicate
     edges are dropped and counted.  The edges are kept only as canonical
-    keys, sorted in place unless they already increase, as written files do.
+    keys, sorted in place unless they already increase, as written files do,
+    and turned into edges over the keys to count degrees.
     """
     ids, n = parse_edge_list(path)
     if n is not None:
@@ -260,8 +258,7 @@ def ingest_edge_list(path) -> DegreeHistogram:
     if not (keys[1:] > keys[:-1]).all():  # strictly increasing keys have no duplicates
         keys.sort()
         keys = keys[np.insert(keys[1:] != keys[:-1], 0, True)]
-    degrees = np.bincount(keys // n, minlength=n)
-    degrees += np.bincount(keys % n, minlength=n)
+    degrees = Graph(n, edges_from_keys(n, keys)).degrees()
     return DegreeHistogram(counts=np.bincount(degrees), n=n, n_graphs=1,
                            edges_per_graph=np.array([keys.size], dtype=np.int64),
                            duplicates_dropped=non_loops - keys.size, self_loops_dropped=loops)

@@ -247,7 +247,7 @@ def prefix(g, n_prime):
     return Graph(n=n_prime, edges=g.edges[keep])
 
 
-def rescaled_entropy_series(gamma, nu, sizes, rtol=1e-7):
+def rescaled_entropy_series(gamma, nu, sizes):
     """[(n, n * sigma / log n)] over increasing sizes."""
     sizes = list(sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -255,7 +255,7 @@ def rescaled_entropy_series(gamma, nu, sizes, rtol=1e-7):
     out = []
     for n in sizes:
         p = derive_params(gamma, nu, n)
-        sigma = graphon_entropy(p, rtol=rtol)
+        sigma = graphon_entropy(p)
         out.append((n, n * sigma / math.log(n)))
     return out
 

@@ -151,11 +151,12 @@ class TestPartition:
 
 
 class TestAveragedGraphon:
-    def test_one_box_partition_is_global_mean(self):
+    def test_one_box_partition_is_global_mean(self, monkeypatch):
         from hscm.graphon import mean_kernel_value
 
+        monkeypatch.setattr("hscm.entropy._GL_ORDER", 40)
         p = derive_params(2.0, 10.0, 10**3)
-        box = box_matrix(averaged_graphon(p, 2, gl_order=40)[0], 2)
+        box = box_matrix(averaged_graphon(p, 2)[0], 2)
         masses = interval_masses(p, 2)
         mean = mean_kernel_value(p)
         # the (2,2) box carries almost all the mass and must match E[W]

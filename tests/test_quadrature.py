@@ -14,4 +14,4 @@ def test_failure_names_interval_without_integration_warning():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureError, match=r"on \[0\.0, 1\.0\]"):
             quad_checked(lambda x: math.sin(1.0 / x) if x else 0.0, 0.0, 1.0,
-                         rtol=1e-14, limit=10)
+                         rtol=1e-14)

@@ -5,8 +5,11 @@ defined in src/hscm/*.py (the package __init__ aside) must be named
 somewhere in those modules outside its own definition: by a Name, an
 Attribute or a from-import.  Every module-level constant they assign,
 tuple targets included, must be read in them as a Name or an Attribute, so
-a deleted branch cannot leave its constant behind.  Code that only the
-tests or the package's exports reach belongs in tests/oracles.py.
+a deleted branch cannot leave its constant behind.  Every parameter with a
+default must be passed, by position or by keyword, by some call in them
+(cli.main, the entry point, aside): a value that only the tests change is a
+constant, not a parameter.  Code that only the tests or the package's
+exports reach belongs in tests/oracles.py.
 """
 
 import ast
@@ -92,3 +95,50 @@ def test_every_constant_is_read_inside_the_library():
     unread = [f"{module}: {name}" for module, tree in trees.items()
               for name in _constants(tree) if not reads[name]]
     assert not unread, "assigned in src/hscm but read nowhere in it:\n" + "\n".join(unread)
+
+
+def _defaulted_parameters(tree):
+    """(qualified name, bare name, parameter, position or None) of each defaulted parameter.
+
+    The position counts the arguments a call passes, so it skips the `self`
+    of a method; keyword-only parameters have none.
+    """
+    for qualified, name, node in _definitions(tree):
+        if isinstance(node, ast.ClassDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if "." in qualified else 0
+        for index in range(len(positional) - len(args.defaults), len(positional)):
+            yield qualified, name, positional[index].arg, index - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield qualified, name, arg.arg, None
+
+
+def _passed(tree):
+    """(callee name, parameter or position) of each argument a call passes by name or place."""
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        passed.update((name, index) for index, arg in enumerate(node.args)
+                      if not isinstance(arg, ast.Starred))
+        passed.update((name, kw.arg) for kw in node.keywords if kw.arg is not None)
+    return passed
+
+
+def test_every_defaulted_parameter_is_set_inside_the_library():
+    trees = _library()
+    passed = set().union(*(_passed(tree) for tree in trees.values()))
+    unset = [f"{module}: {qualified}({parameter}=...)"
+             for module, tree in trees.items()
+             for qualified, name, parameter, position in _defaulted_parameters(tree)
+             if (module, qualified) != ("cli.py", "main")
+             and (name, parameter) not in passed and (name, position) not in passed]
+    assert not unset, ("defaulted in src/hscm but set by no call in it:\n"
+                       + "\n".join(unset))
