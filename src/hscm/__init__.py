@@ -35,7 +35,6 @@ from .sampler import (
     sample_coordinates,
     sample_graph_fast,
     sample_graph_growing,
-    sample_graph_naive,
 )
 from .scm import ScmInstance, hscm_to_scm, solve_scm
 from .stats import (

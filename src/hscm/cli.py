@@ -270,7 +270,7 @@ def _add_sampling_args(sp):
     sp.add_argument("--replicas", type=_at_least(1), default=1)
     sp.add_argument("--seed", type=int, required=True,
                     help="master seed (replica seeds are derived from it)")
-    sp.add_argument("--sampler", choices=["fast", "naive", "growing"], default="fast",
+    sp.add_argument("--sampler", choices=["fast", "growing"], default="fast",
                     help="growing is the projective chain, for gamma = 2 only")
     sp.add_argument("--jobs", type=_at_least(1), default=1, help="parallel replica workers")
 

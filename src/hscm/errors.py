@@ -18,7 +18,7 @@ class ConvergenceError(HscmError, RuntimeError):
 
 
 class SizeGuardError(HscmError, ValueError):
-    """A quadratic-cost operation was requested above its size guard."""
+    """A graph was requested whose estimated sampling memory exceeds physical RAM."""
 
 
 class InsufficientTailError(HscmError, ValueError):

@@ -73,24 +73,22 @@ def expected_degree_fn(p: EnsembleParams, x):
 def expectation_of_sum(p: EnsembleParams, f_of_sum, rtol: float) -> float:
     """E[f(X + Y)] with X, Y independent draws from the latent measure.
 
-    r_n - X is Exp(gamma), so t = 2 r_n - (X + Y) has the Gamma(2, gamma)
-    density gamma^2 t exp(-gamma t) and the double integral is exactly the 1D
-    integral of f(2 r_n - t) against it.  f is a scalar function of s = x + y.
+    r_n - X is Exp(gamma), so u = gamma (2 r_n - (X + Y)) has the Gamma(2, 1)
+    density u exp(-u) and the double integral is exactly the 1D integral of
+    f(2 r_n - u / gamma) against it.  f is a scalar function of s = x + y.
     """
     gamma, r2 = p.gamma, 2.0 * p.r_n
 
-    def integrand(t):
-        return f_of_sum(r2 - t) * gamma * gamma * t * math.exp(-gamma * t)
+    def integrand(u):
+        return f_of_sum(r2 - u / gamma) * u * math.exp(-u)
 
-    # Kernel transition sits at s = 0, i.e. t = 2 r_n; integrate the two
+    # Kernel transition sits at s = 0, i.e. u = gamma 2 r_n; integrate the two
     # ranges separately since `points` is unavailable on infinite intervals.
-    if r2 > 0:
-        head = quad_checked(integrand, 0.0, r2, rtol=rtol, points=[0.5 * r2])
-        tail = quad_checked(integrand, r2, np.inf, rtol=rtol)
-    else:
-        head = 0.0
-        tail = quad_checked(integrand, 0.0, np.inf, rtol=rtol)
-    return head + tail
+    # Past u = 700 the density is below exp(-700), so a farther transition is
+    # left to the tail and the head stays where the mass is.
+    u0 = min(gamma * r2, 700.0)
+    head = quad_checked(integrand, 0.0, u0, rtol=rtol, points=[0.5 * u0]) if u0 > 0 else 0.0
+    return head + quad_checked(integrand, max(u0, 0.0), np.inf, rtol=rtol)
 
 
 def mean_kernel_value(p: EnsembleParams) -> float:

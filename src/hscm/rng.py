@@ -21,8 +21,8 @@ _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 
 # Stream tags (domain separation between independent uses of one seed).
+# Tag 2 is the per-pair stream of the quadratic reference sampler in tests/oracles.py.
 TAG_COORD = 1
-TAG_EDGE_NAIVE = 2
 TAG_EDGE_FAST = 3
 TAG_GROW_COORD = 4
 TAG_GROW_EDGE = 5

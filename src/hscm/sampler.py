@@ -1,6 +1,6 @@
-"""Seeded graph samplers: equilibrium (naive and fast) and growing variants.
+"""Seeded graph samplers: the equilibrium sampler and the growing variant.
 
-The fast equilibrium sampler and the growing sampler share one exact row
+The equilibrium sampler and the growing sampler share one exact row
 engine.  A row processes candidate partners in order of non-increasing
 connection probability, proposing candidates by geometric jumps under the
 dominating product bound min(exp(-(x_i + x_j)), 1) and thinning each landing
@@ -19,12 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import DomainError, SizeGuardError
+from .errors import DomainError
 from .graphon import _logistic_neg
 from .params import EnsembleParams, mu_n_quantile
 
-NAIVE_SIZE_GUARD = 30_000
-_NAIVE_BLOCK = 1 << 20  # upper-triangle pairs the naive sampler draws at once
 _SEGMENT_WORK = 64  # expected proposals above which the skip engine cuts a row
 _BLOCK_ROWS = 1 << 16  # rows the skip engine steps at once
 _KEY_CHUNK = 1 << 16  # keys edges_from_keys converts at once
@@ -109,34 +107,6 @@ def _finish_edges(n: int, keys: np.ndarray) -> Graph:
     """The graph of an int64 array of canonical edge keys, which it sorts and overwrites."""
     keys.sort()
     return Graph(n=n, edges=edges_from_keys(n, keys))
-
-
-def sample_graph_naive(x: np.ndarray, seed: int) -> Graph:
-    """Reference quadratic sampler on coordinates x: every pair gets its own keyed draw.
-
-    The pair (i, j) decision is uniform(seed, TAG_EDGE_NAIVE, i, j) < W(x_i, x_j),
-    so the result is independent of evaluation order.  Rows are drawn in
-    blocks of at most 2**20 upper-triangle pairs.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if n > NAIVE_SIZE_GUARD:
-        raise SizeGuardError(f"naive sampler is quadratic; n={n} exceeds {NAIVE_SIZE_GUARD}")
-    counts = np.arange(n - 1, 0, -1, dtype=np.int64)  # pairs (i, j > i) of row i
-    ends = np.cumsum(counts)
-    keys = [np.empty(0, dtype=np.int64)]
-    r0 = 0
-    while r0 < n - 1:
-        first = int(ends[r0] - counts[r0])
-        r1 = max(r0 + 1, int(np.searchsorted(ends, first + _NAIVE_BLOCK, side="right")))
-        k = np.arange(first, int(ends[r1 - 1]))  # running pair numbers of the block
-        i = np.repeat(np.arange(r0, r1, dtype=np.int64), counts[r0:r1])
-        j = k - (ends[i] - counts[i]) + i + 1
-        u = rng.uniform(seed, rng.TAG_EDGE_NAIVE, i.astype(np.uint64), j.astype(np.uint64))
-        hit = u < _logistic_neg(x[i] + x[j])
-        keys.append(edge_keys(n, i[hit], j[hit]))
-        r0 = r1
-    return _finish_edges(n, np.concatenate(keys))
 
 
 def _put(buf: np.ndarray, m: int, values) -> tuple:
@@ -266,7 +236,7 @@ def _skip_block(xs, row_ids, start, stop, counter, seed, tag):
 
 
 def sample_graph_fast(x: np.ndarray, seed: int) -> Graph:
-    """Equilibrium sampler with expected O(n + m) work; same law as the naive one.
+    """Equilibrium sampler: pair i < j is an edge w.p. W(x_i, x_j), in expected O(n + m) work.
 
     Nodes are processed in ascending coordinate order (descending weight
     exp(-x)); each anchor row skips over later candidates geometrically under
@@ -314,7 +284,6 @@ def sample_replica(p: EnsembleParams, seed: int, index: int, variant: str = "fas
     coord_seed, edge_seed = (rng.subseed(seed, rng.TAG_REPLICA, 2 * index + k) for k in (0, 1))
     samplers = {
         "fast": lambda: sample_graph_fast(sample_coordinates(p, coord_seed), edge_seed),
-        "naive": lambda: sample_graph_naive(sample_coordinates(p, coord_seed), edge_seed),
         "growing": lambda: sample_graph_growing(p, coord_seed)[0],
     }
     if variant not in samplers:

@@ -96,9 +96,12 @@ def solve_scm(k, tol: float = 1e-10) -> ScmInstance:
     so there is one unknown per distinct degree.  Each Newton step on the convex
     dual comes from Jacobi-preconditioned conjugate gradients on the Hessian,
     applied through pair_sums, and is halved until max_i |sum_j p_ij - k_i|
-    falls.  A non-finite step, a step halved below 2**-30, or 200 residual
-    evaluations without reaching tol raise ConvergenceError.
+    falls.  tol must be finite and > 0.  A non-finite step, a step halved
+    below 2**-30, or 200 residual evaluations without reaching tol raise
+    ConvergenceError.
     """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and > 0, not {tol}")
     k = np.asarray(k, dtype=float)
     n = k.size
     if n < 2:

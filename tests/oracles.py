@@ -21,6 +21,11 @@ box_matrix, bracket_bounds, deviation_log_slope,
 expected_avg_degree_classical, negative_mass, refine_doubled, tail_mass_bound
 and truncation_k are closed forms, fits and helpers that only the tests use.
 
+sample_graph_naive is the quadratic reference for the equilibrium sampler:
+it gives every pair i < j its own keyed draw, where sampler.sample_graph_fast
+skips over the pairs geometrically.  naive_replica seeds it as
+sampler.sample_replica seeds a replica.
+
 skip_rows_reference is the skip engine as sampler._run_skip_rows stood
 before it hashed each row's stream prefix once and cut long rows into
 segments: every draw re-hashes (seed, tag, row, counter) through
@@ -51,7 +56,7 @@ from hscm import rng
 from hscm.graphon import _logistic_neg, bernoulli_entropy, expectation_of_sum, w_fermi_dirac
 from hscm.params import derive_params, mu_n_quantile
 from hscm.quadrature import gauss_legendre_nodes, quad_checked
-from hscm.sampler import Graph
+from hscm.sampler import Graph, sample_coordinates
 
 
 # -- the classical product kernel of the approximation bounds --
@@ -165,6 +170,35 @@ def pareto_tail(law, y):
     y = np.asarray(y, dtype=float)
     out = np.where(y >= law.scale, np.power(law.scale / np.maximum(y, law.scale), law.shape), 1.0)
     return out if out.ndim else float(out)
+
+
+# -- the quadratic reference sampler --
+
+TAG_EDGE_NAIVE = 2  # its per-pair stream; the library's stream tags leave 2 free
+
+
+def sample_graph_naive(x, seed):
+    """Reference quadratic sampler on coordinates x: every pair gets its own keyed draw.
+
+    Pair (i, j), i < j, is an edge when uniform(seed, TAG_EDGE_NAIVE, i, j) <
+    W(x_i, x_j), so the result is independent of evaluation order.
+    np.triu_indices lists the pairs in lexicographic order, the order of a
+    Graph's edges.
+    """
+    x = np.asarray(x, dtype=float)
+    i, j = np.triu_indices(x.size, 1)
+    u = rng.uniform(seed, TAG_EDGE_NAIVE, i.astype(np.uint64), j.astype(np.uint64))
+    hit = u < _logistic_neg(x[i] + x[j])
+    return Graph(n=x.size, edges=np.column_stack((i[hit], j[hit])))
+
+
+def naive_replica(p, seed, index):
+    """Replica `index` of p under master seed `seed`, drawn by sample_graph_naive.
+
+    Its coordinate and edge seeds are those sampler.sample_replica derives.
+    """
+    coord_seed, edge_seed = (rng.subseed(seed, rng.TAG_REPLICA, 2 * index + k) for k in (0, 1))
+    return sample_graph_naive(sample_coordinates(p, coord_seed), edge_seed)
 
 
 # -- the skip engine as it stood before its prefix-hash and scalar-finish rework --

@@ -13,13 +13,12 @@ from scipy import stats as sps
 
 from conftest import ACCEPT_SEED
 from oracles import (mixed_poisson_pmf_oracle, mixing, prefix, rescaled_entropy_series,
-                     verify_graphon_maximality)
+                     sample_graph_naive, verify_graphon_maximality)
 from hscm import rng
 from hscm.entropy import gibbs_entropy_bounds
 from hscm.graphon import w_fermi_dirac
 from hscm.params import derive_params
-from hscm.sampler import sample_coordinates, sample_graph_fast, \
-    sample_graph_growing, sample_graph_naive
+from hscm.sampler import sample_coordinates, sample_graph_fast, sample_graph_growing
 from hscm.scm import hscm_to_scm, solve_scm
 from hscm.stats import compare_to_theory
 from hscm.theory import DegreeLaw, expected_avg_degree_finite_n

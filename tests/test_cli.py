@@ -93,12 +93,20 @@ class TestGenerate:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_sampler_variants_differ_but_run(self, tmp_path):
-        pa, pb = tmp_path / "fast", tmp_path / "naive"
-        run_cli("generate", "--gamma", 2, "--nu", 10, "--n", 300, "--replicas", 1,
-                "--seed", 3, "--sampler", "fast", "--out", pa)
-        run_cli("generate", "--gamma", 2, "--nu", 10, "--n", 300, "--replicas", 1,
-                "--seed", 3, "--sampler", "naive", "--out", pb)
+        pa, pb = tmp_path / "fast", tmp_path / "growing"
+        assert run_cli("generate", "--gamma", 2, "--nu", 10, "--n", 300, "--replicas", 1,
+                       "--seed", 3, "--sampler", "fast", "--out", pa) == 0
+        assert run_cli("generate", "--gamma", 2, "--nu", 10, "--n", 300, "--replicas", 1,
+                       "--seed", 3, "--sampler", "growing", "--out", pb) == 0
         assert (pa / "graph_000.edges").read_bytes() != (pb / "graph_000.edges").read_bytes()
+
+    def test_naive_sampler_is_not_a_choice(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("generate", "--gamma", 2, "--nu", 10, "--n", 30, "--seed", 3,
+                    "--sampler", "naive", "--out", tmp_path)
+        assert exc.value.code == 2
+        assert "argument --sampler: invalid choice: 'naive'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestDegrees:
@@ -317,6 +325,15 @@ class TestScmIngestAndErrors:
         assert doc["residual"] < 1e-12
         assert doc["multipliers"][0] == pytest.approx(0.5 * math.log(4.0), abs=1e-10)
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "1e-400", "inf"])
+    def test_scm_solve_bad_tol_exit_2(self, tmp_path, capsys, tol):
+        degrees = tmp_path / "k.txt"
+        degrees.write_text("3 3 2 2 4 1\n")
+        assert run_cli("scm-solve", "--degrees-file", degrees, "--tol", tol,
+                       "--out", tmp_path) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: tol must be finite and > 0, not ")
+
     def test_scm_solve_from_frozen_coordinates(self, tmp_path):
         out = tmp_path / "s2"
         assert run_cli("scm-solve", "--gamma", 2, "--nu", 10, "--n", 20,
@@ -411,8 +428,7 @@ class TestScmIngestAndErrors:
         def refuse(*args, **kwargs):
             pytest.fail("a sampler ran")
 
-        for name in ("sample_coordinates", "sample_graph_fast", "sample_graph_naive",
-                     "sample_graph_growing"):
+        for name in ("sample_coordinates", "sample_graph_fast", "sample_graph_growing"):
             monkeypatch.setattr(sampler_mod, name, refuse)
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 8 * 2**30)
         t0 = time.perf_counter()

@@ -18,6 +18,7 @@ from oracles import (
     w_unit_interval,
 )
 from hscm import rng
+from hscm.entropy import graphon_entropy
 from hscm.errors import DomainError
 from hscm.graphon import (
     bernoulli_entropy,
@@ -227,3 +228,16 @@ class TestClassicalApproximationRate:
         for n in (10**3, 10**5):
             p = derive_params(2.0, 10.0, n)
             assert mean_kernel_value(p) < mean_classical_kernel(p)
+
+
+@pytest.mark.parametrize("nu,n", [(1.0, 10), (10.0, 10**6)])
+@pytest.mark.parametrize("gamma", [1e5, 1e6, 1e12, 1e300])
+def test_large_gamma_means_sit_at_the_support_end(gamma, nu, n):
+    # X + Y = 2 r_n - U / gamma with U ~ Gamma(2, 1) and E[U] = 2; since
+    # |W'| <= 1/4 and |dH(W(s))/ds| <= 0.224, E[W] and sigma lie within
+    # 1/(2 gamma) of W and H(W) at 2 r_n
+    p = derive_params(gamma, nu, n)
+    end = 2.0 * p.r_n
+    assert abs(mean_kernel_value(p) - w_fermi_dirac(end, 0.0)) <= 0.5 / gamma + 1e-12
+    sigma = graphon_entropy(p)
+    assert abs(sigma - bernoulli_entropy_logit(end)) <= 0.5 / gamma + 1e-7 * sigma

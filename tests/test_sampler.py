@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from oracles import omega_n, prefix, skip_rows_reference
+from oracles import naive_replica, omega_n, prefix, sample_graph_naive, skip_rows_reference
 from hscm import rng, sampler
-from hscm.errors import DomainError, SizeGuardError
+from hscm.errors import DomainError
 from hscm.graphon import expected_degree_fn, w_fermi_dirac
 from hscm.params import derive_params
 from hscm.sampler import (
@@ -16,7 +16,6 @@ from hscm.sampler import (
     sample_coordinates,
     sample_graph_fast,
     sample_graph_growing,
-    sample_graph_naive,
     sample_replica,
 )
 from hscm.stats import degree_histogram
@@ -95,26 +94,9 @@ class TestNaiveSampler:
 
         p = derive_params(2.0, 10.0, 10**3)
         target = expected_avg_degree_finite_n(p) * p.n / 2.0
-        ms = [sample_replica(p, 515, r, "naive").num_edges for r in range(200)]
+        ms = [naive_replica(p, 515, r).num_edges for r in range(200)]
         se = np.std(ms, ddof=1) / math.sqrt(len(ms))
         assert abs(np.mean(ms) - target) <= 3.0 * se
-
-    def test_row_blocks_give_the_same_edges(self, monkeypatch):
-        # n above the size the pairs once went through in one vectorised pass
-        p = derive_params(2.0, 10.0, 2600)
-        c = sample_coordinates(p, 12)
-        monkeypatch.setattr(sampler, "_NAIVE_BLOCK", p.n * p.n)  # every pair at once
-        one_block = sample_graph_naive(c, 13)
-        assert one_block.num_edges > 0
-        for block in (1, 3 * p.n):  # one row, then a few rows, per block
-            monkeypatch.setattr(sampler, "_NAIVE_BLOCK", block)
-            assert np.array_equal(sample_graph_naive(c, 13).edges, one_block.edges)
-
-    def test_size_guard(self):
-        p = derive_params(2.0, 10.0, 40000)
-        c = sample_coordinates(p, 1)
-        with pytest.raises(SizeGuardError):
-            sample_graph_naive(c, 2)
 
 
 class TestFastSampler:
