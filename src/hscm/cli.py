@@ -203,15 +203,15 @@ def cmd_theory(cfg) -> int:
 def cmd_scm_solve(cfg) -> int:
     if cfg.degrees_file:
         inst = solve_scm(hio.read_degrees(cfg.degrees_file), tol=cfg.tol)
-        source = {"degrees_file": cfg.degrees_file}
-    else:
+        source = {"degrees_file": cfg.degrees_file, "tol": cfg.tol}
+    else:  # frozen coordinates: no solve, so no tol
         p = derive_params(cfg.gamma, cfg.nu, cfg.n)
         coords = sample_coordinates(p, cfg.seed)
         inst = hscm_to_scm(coords)
         source = {"gamma": cfg.gamma, "nu": cfg.nu, "n": cfg.n, "seed": cfg.seed}
     hio.write_json(os.path.join(cfg.out, "scm.json"), {
         "command": "scm-solve",
-        "config": {**source, "tol": cfg.tol},
+        "config": source,
         "n": inst.n,
         "residual": inst.residual,
         "residual_path": list(inst.residual_path),

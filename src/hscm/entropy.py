@@ -42,7 +42,10 @@ def partition(p: EnsembleParams, m_n: int) -> np.ndarray:
 
 def interval_masses(p: EnsembleParams, m_n: int) -> np.ndarray:
     """Latent-measure mass of each partition interval (sums to 1)."""
-    return np.diff(np.exp(np.minimum(p.gamma * (partition(p, m_n) - p.r_n), 0.0)))
+    # exp is 0 below -745, so bounding the offset at -800/gamma changes no
+    # mass and keeps gamma * offset from overflowing at huge gamma
+    offset = np.clip(partition(p, m_n) - p.r_n, -800.0 / p.gamma, 0.0)
+    return np.diff(np.exp(p.gamma * offset))
 
 
 def graphon_entropy(p: EnsembleParams) -> float:

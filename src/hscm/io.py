@@ -19,6 +19,12 @@ SCHEMA_VERSION = 1
 EDGE_FORMAT_TAG = "hscm v1"
 _HEADER = re.compile(r"#\s*" + re.escape(EDGE_FORMAT_TAG) + r"\b.*?\bn=(\d+)")
 _WRITE_CHUNK = 1 << 16  # edges formatted per write
+# "00".."99" as 100 uint16 cells, and the separator cells " \0" and "\n\0".
+# The writer fills a native uint16 array from these and writes its native
+# uint8 view, so each cell's two bytes come out in the order they went in,
+# whatever the machine's byte order.
+_DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+_SEPARATORS = np.frombuffer(b" \0\n\0", np.uint16)
 # loadtxt numbers data rows (comment and blank lines skipped) from 0 in
 # conversion errors and from 1 in missing-column errors.  Ids parse as int32;
 # an integer that int64 holds (up to 18 digits) is out of range, not bad.
@@ -47,12 +53,35 @@ def _atomic_open(path):
 
 
 def write_edge_list(path, graph: Graph, seed: int):
-    """Self-describing text edge list: '# hscm v1 n=<n> seed=<seed>' then 'u v' rows."""
+    """Self-describing text edge list: '# hscm v1 n=<n> seed=<seed>' then 'u v' rows.
+
+    A chunk of rows is formatted as one uint16 array: each id fills `half`
+    digit-pair cells, right-aligned with leading zeros, then its separator
+    cell.  A row mask gathered by the two ids' digit counts keeps the
+    significant digits and the separators' first bytes.
+    """
+    width = len(str(max(graph.n - 1, 0)))  # digits of the largest id
+    half = (width + 1) // 2
+    powers = 10 ** np.arange(1, width)
+    byte = np.arange(2 * half + 2)
+    # keep[d - 1]: the bytes of one id's cells kept when it has d digits;
+    # masks[(du - 1) * width + dv - 1]: those of a row
+    keep = (byte >= 2 * half - np.arange(1, width + 1)[:, None]) & (byte <= 2 * half)
+    masks = np.hstack((np.repeat(keep, width, axis=0), np.tile(keep, (width, 1))))
     with _atomic_open(path) as fh:
         fh.write(f"# {EDGE_FORMAT_TAG} n={graph.n} seed={seed}\n")
         for start in range(0, graph.num_edges, _WRITE_CHUNK):
-            chunk = graph.edges[start:start + _WRITE_CHUNK]
-            fh.write(("%d %d\n" * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+            ids = graph.edges[start:start + _WRITE_CHUNK]
+            cells = np.empty(ids.shape + (half + 1,), dtype=np.uint16)
+            cells[:, :, half] = _SEPARATORS
+            rest = ids
+            for k in range(half - 1, 0, -1):
+                rest, pair = np.divmod(rest, 100)
+                cells[:, :, k] = _DIGIT_PAIRS[pair]
+            cells[:, :, 0] = _DIGIT_PAIRS[rest]
+            digits = np.searchsorted(powers, ids, side="right")  # digit count - 1
+            rows = cells.view(np.uint8).reshape(ids.shape[0], -1)
+            fh.write(rows[masks[digits[:, 0] * width + digits[:, 1]]].tobytes().decode("ascii"))
 
 
 def _file_line(path, row: int) -> int:

@@ -173,6 +173,8 @@ def _segments(xs, e, rid, a, b):
     dense = d - a
     scale = np.exp(np.clip(-(rx + xs[0]), -600.0, 600.0))
     work = np.minimum(dense + scale * (e[b] - e[d]), b - a)
+    if work.max(initial=0.0) <= _SEGMENT_WORK:  # no row is cut: what the rest computes
+        return rid, a, b, np.zeros(rid.size, dtype=np.uint64)
     cuts = np.maximum(np.ceil(work / _SEGMENT_WORK), 1).astype(np.int64)
     last = np.cumsum(cuts) - 1  # each row's last segment
     row = np.repeat(np.arange(rid.size), cuts)

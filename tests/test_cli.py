@@ -342,6 +342,17 @@ class TestScmIngestAndErrors:
         assert doc["residual"] == 0.0
         assert len(doc["multipliers"]) == 20
 
+    def test_frozen_coordinates_ignore_tol_and_write_strict_json(self, tmp_path):
+        # no solve runs on this path, so a bad --tol neither fails nor reaches
+        # scm.json, where NaN would break strict JSON parsers
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        assert run_cli("scm-solve", "--gamma", 2, "--nu", 10, "--n", 50, "--seed", 1,
+                       "--tol", "nan", "--out", tmp_path) == 0
+        doc = json.loads((tmp_path / "scm.json").read_text(), parse_constant=refuse)
+        assert doc["config"] == {"gamma": 2.0, "nu": 10.0, "n": 50, "seed": 1}
+
     def test_scm_solve_malformed_degrees(self, tmp_path, capsys):
         degrees = tmp_path / "k.txt"
         degrees.write_text("1.0 nan 1.0\n")

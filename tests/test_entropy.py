@@ -202,6 +202,11 @@ class TestAveragedGraphon:
         ref = averaged_box_oracle(p, m, kernel=lambda x, y: bernoulli_entropy_logit(x + y))
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
+    def test_masses_at_huge_gamma(self):
+        # gamma * 2 r_n passes the float maximum here; RuntimeWarnings are errors
+        masses = interval_masses(derive_params(1.7e308, 10.0, 10**6), 5)
+        assert np.isfinite(masses).all() and masses.sum() == 1.0
+
     def test_refinement_decreases_sigma_toward_graphon_entropy(self):
         p = derive_params(2.0, 10.0, 10**4)
         sigma = graphon_entropy(p)

@@ -70,11 +70,17 @@ def test_naive_oracle_output_is_golden(tmp_path):
         "1eca76657b9200b4bed2023b1400998da499c57a767fd7b23c7c571e45109e8e")
 
 
-def test_chunked_writer_matches_savetxt(tmp_path, monkeypatch):
+# ids of 1 to 10 digits, both odd and even widths
+@pytest.mark.parametrize("n", [2, 10, 11, 100, 101, 12345, 10**6, 2**31 - 1])
+def test_chunked_writer_matches_savetxt(tmp_path, monkeypatch, n):
     rng = np.random.default_rng(5)
-    n = 2**31 - 1
-    keys = np.unique(edge_keys(n, rng.integers(0, n, 1000), rng.integers(0, n, 1000)))
+    # every pair of the digit-boundary ids below n, besides random pairs
+    boundary = np.array([i for i in (0, 9, 10, 99, 100, n - 1) if i < n])
+    a = np.concatenate((rng.integers(0, n, 999), np.repeat(boundary, boundary.size)))
+    b = np.concatenate((rng.integers(0, n, 999), np.tile(boundary, boundary.size)))
+    keys = np.unique(edge_keys(n, a, b))
     g = Graph(n=n, edges=edges_from_keys(n, keys[keys // n != keys % n]))
+    assert g.num_edges % 7  # the last chunk is partial
     monkeypatch.setattr(hio, "_WRITE_CHUNK", 7)
     path = tmp_path / "g.edges"
     write_edge_list(str(path), g, seed=3)
