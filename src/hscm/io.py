@@ -58,7 +58,9 @@ def write_edge_list(path, graph: Graph, seed: int):
     A chunk of rows is formatted as one uint16 array: each id fills `half`
     digit-pair cells, right-aligned with leading zeros, then its separator
     cell.  A row mask gathered by the two ids' digit counts keeps the
-    significant digits and the separators' first bytes.
+    significant digits and the separators' first bytes.  Ids must lie in
+    [0, n), as Graph's form requires; the cells hold no sign and no more
+    digits than n - 1 has.
     """
     width = len(str(max(graph.n - 1, 0)))  # digits of the largest id
     half = (width + 1) // 2
