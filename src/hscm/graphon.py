@@ -6,8 +6,6 @@ and maximizes graphon entropy under the expected-degree constraints.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.special import hyp2f1, xlogy
 
@@ -75,19 +73,20 @@ def expectation_of_sum(p: EnsembleParams, f_of_sum, rtol: float) -> float:
 
     r_n - X is Exp(gamma), so u = gamma (2 r_n - (X + Y)) has the Gamma(2, 1)
     density u exp(-u) and the double integral is exactly the 1D integral of
-    f(2 r_n - u / gamma) against it.  f is a scalar function of s = x + y.
+    f(2 r_n - u / gamma) against it.  f maps an array of sums s = x + y to an
+    array of values.
     """
     gamma, r2 = p.gamma, 2.0 * p.r_n
 
     def integrand(u):
-        return f_of_sum(r2 - u / gamma) * u * math.exp(-u)
+        return f_of_sum(r2 - u / gamma) * u * np.exp(-u)
 
     # Kernel transition sits at s = 0, i.e. u = gamma 2 r_n; integrate the two
-    # ranges separately since `points` is unavailable on infinite intervals.
-    # Past u = 700 the density is below exp(-700), so a farther transition is
-    # left to the tail and the head stays where the mass is.
+    # ranges separately.  Past u = 700 the density is below exp(-700), so a
+    # farther transition is left to the tail and the head stays where the
+    # mass is.
     u0 = min(gamma * r2, 700.0)
-    head = quad_checked(integrand, 0.0, u0, rtol=rtol, points=[0.5 * u0]) if u0 > 0 else 0.0
+    head = quad_checked(integrand, 0.0, u0, rtol=rtol) if u0 > 0 else 0.0
     return head + quad_checked(integrand, max(u0, 0.0), np.inf, rtol=rtol)
 
 

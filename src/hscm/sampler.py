@@ -247,11 +247,15 @@ def sample_graph_fast(x: np.ndarray, seed: int) -> Graph:
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)
+    xs = x[order]
+    if not (xs[1:] > xs[:-1]).all():  # tied nodes keep index order, as streams follow rank
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
     ids = np.arange(n, dtype=np.int64)  # row i scans positions i+1..n-1
-    keys = _run_skip_rows(x[order], ids[:-1], ids[1:], np.broadcast_to(n, ids[1:].shape),
+    keys = _run_skip_rows(xs, ids[:-1], ids[1:], np.broadcast_to(n, ids[1:].shape),
                           seed, rng.TAG_EDGE_FAST, label=order)
-    del order, ids  # freed before the edge array is made
+    del order, xs, ids  # freed before the edge array is made
     return _finish_edges(n, keys)
 
 

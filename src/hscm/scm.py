@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConvergenceError, DomainError
 from .graphon import _logistic_neg
@@ -26,6 +25,7 @@ _BAND = 2.0  # pairs with |l_a + l_b| < _BAND are summed directly
 _TERMS = 18  # series terms; the first one left out is below 19 e^-38 < 1e-15
 _SEGMENT = 30.0  # span of one cumulative-sum anchor: e^(18 (30 - 2)) < e^709
 _PASS_ELEMENTS = 1 << 16  # values one vectorised pass holds when n is smaller
+_CG_RTOL = 1e-12  # conjugate gradients stop once |residual| < _CG_RTOL |rhs|
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,31 @@ def pair_sums(lam, weights, slope):
     return total[np.argsort(order)]
 
 
+def _cg(matvec, jacobi, b):
+    """Solve A x = b for symmetric positive definite A by conjugate gradients.
+
+    Starts from x = 0 with the preconditioner diag(jacobi), and stops once
+    ||r|| < _CG_RTOL ||b|| or after 10 n iterations, in the order of operations
+    of scipy.sparse.linalg.cg.  Returns x and the number of iterations.
+    """
+    atol = _CG_RTOL * np.linalg.norm(b)
+    if atol == 0.0:
+        return b.copy(), 0
+    x, r, p, rho_prev = np.zeros_like(b), b.copy(), None, None
+    for iteration in range(10 * b.size):
+        if np.linalg.norm(r) < atol:
+            return x, iteration
+        z = jacobi * r
+        rho = np.dot(r, z)
+        p = z if p is None else p * (rho / rho_prev) + z
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, 10 * b.size
+
+
 def solve_scm(k, tol: float = 1e-10) -> ScmInstance:
     """Solve the multiplier equations by Newton's method over degree classes.
 
@@ -114,7 +139,7 @@ def solve_scm(k, tol: float = 1e-10) -> ScmInstance:
     v, inverse, m = np.unique(k, return_inverse=True, return_counts=True)
     where = f"(n={n}, {v.size} distinct degrees)"
     lam, step, t, res = np.log(np.sqrt(m @ v) / v), np.zeros(v.size), 0.0, np.inf
-    path, cg_steps = [], []
+    path, cg_steps = [], 0
     for _ in range(_MAX_ITER):
         trial = lam + t * step
         s = pair_sums(trial, m, False) - _logistic_neg(2.0 * trial)  # degree of each class
@@ -128,15 +153,13 @@ def solve_scm(k, tol: float = 1e-10) -> ScmInstance:
         lam, res = trial, trial_res
         path.append(res)  # path[0] is the start point
         if res < tol:
-            return ScmInstance(n, k.copy(), lam[inverse], res, tuple(path[1:]), len(cg_steps))
+            return ScmInstance(n, k.copy(), lam[inverse], res, tuple(path[1:]), cg_steps)
         q_self = _logistic_neg(2.0 * lam) * _logistic_neg(-2.0 * lam)
         diag = m * (pair_sums(lam, m, True) - 2.0 * q_self)
         jacobi = 1.0 / (diag + m * m * q_self)  # inverse Hessian diagonal
-        hess = LinearOperator((v.size, v.size), dtype=float,
-                              matvec=lambda u: m * pair_sums(lam, m * u, True) + diag * u)
-        precond = LinearOperator((v.size, v.size), dtype=float, matvec=lambda u: jacobi * u)
-        step, _ = cg(hess, m * (s - v), rtol=1e-12, M=precond,
-                     callback=lambda _: cg_steps.append(1))
+        step, iterations = _cg(lambda u: m * pair_sums(lam, m * u, True) + diag * u,
+                               jacobi, m * (s - v))
+        cg_steps += iterations
         if not np.all(np.isfinite(step)):
             raise ConvergenceError(f"non-finite Newton step at residual {res:.3e} {where}")
         t = 1.0

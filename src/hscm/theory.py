@@ -44,7 +44,7 @@ def _upper_gamma_quad(a: float, x: float) -> float:
 
     def integrand(w):
         u = w / c
-        return math.exp(a * u - x * math.expm1(min(u, 700.0)))
+        return np.exp(a * u - x * np.expm1(np.minimum(u, 700.0)))
 
     split = max(1.0, math.log1p(1.0 / x))
     head = quad_checked(integrand, 0.0, split, rtol=1e-13)

@@ -55,7 +55,7 @@ from hscm.errors import DomainError
 from hscm import rng
 from hscm.graphon import _logistic_neg, bernoulli_entropy, expectation_of_sum, w_fermi_dirac
 from hscm.params import derive_params, mu_n_quantile
-from hscm.quadrature import gauss_legendre_nodes, quad_checked
+from hscm.quadrature import gauss_legendre_nodes
 from hscm.sampler import Graph, sample_coordinates
 
 
@@ -443,6 +443,35 @@ def mean_degree_oracle(p, rtol=1e-9):
     return (p.n - 1) * nested_expectation(p, _w_fermi_dirac, rtol, quantile(p, cut))
 
 
+def gauss_legendre_mpmath(order, dps=30):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] at `dps` digits.
+
+    One Newton step on P_order, evaluated by the three-term recurrence in
+    mpmath, from numpy's eigenvalue-based leggauss nodes (each within ~1e-16
+    of its root, so one step leaves ~1e-27), then w = 2 / ((1 - x^2) P'(x)^2)
+    at the refined node.  The rule is symmetric: the upper half mirrors the
+    lower one.
+    """
+    def legendre(x):  # P_order(x) and P_order'(x)
+        p0, p1 = mp.mpf(1), x
+        for j in range(2, order + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, order * (x * p1 - p0) / (x * x - 1)
+
+    xs, ws = [], []
+    with mp.workdps(dps):
+        for x0 in np.polynomial.legendre.leggauss(order)[0][:(order + 1) // 2]:
+            x = mp.mpf(float(x0))
+            p, dp = legendre(x)
+            x -= p / dp
+            dp = legendre(x)[1]
+            xs.append(float(x))
+            ws.append(float(2 / ((1 - x * x) * dp * dp)))
+    half = order // 2
+    return (np.array(xs + [-v for v in xs[:half][::-1]]),
+            np.array(ws + ws[:half][::-1]))
+
+
 def sigma_mpmath(p, dps=40):
     """Graphon entropy at `dps` digits: mpmath quadrature of the Gamma(2) form."""
     with mp.workdps(dps):
@@ -592,10 +621,7 @@ def mixed_poisson_pmf_oracle(law, k, rtol=1e-12):
 
     mode = max(a, power)
     upper = mode + 40.0 * math.sqrt(mode + 4.0) + 60.0
-    head = quad_checked(integrand, a, upper, rtol=rtol,
-                        points=[mode] if a < mode < upper else None)
-    tail = quad_checked(integrand, upper, np.inf, rtol=rtol)
-    return head + tail
+    return _quad(integrand, a, upper, rtol, [mode]) + _quad(integrand, upper, np.inf, rtol, [])
 
 
 def pmf_mpmath(law, k, dps=40):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -107,6 +108,15 @@ class TestFastSampler:
         g2 = sample_graph_fast(c, 9)
         assert np.array_equal(g1.edges, g2.edges)
         assert g1.first_fault() is None
+
+    def test_tied_coordinates_are_golden(self):
+        # four nodes at each coordinate: a row's draws follow its rank, so tied
+        # nodes must keep index order; digest captured with a stable argsort
+        x = np.repeat(np.random.default_rng(12).normal(3.0, 1.0, 500), 4)
+        g = sample_graph_fast(x, 5)
+        assert g.num_edges == 12363
+        assert hashlib.sha256(g.edges.astype(np.int64).tobytes()).hexdigest() == (
+            "dd754a3c07401076a30d7dac0b91ef5180bca162a9ea7d8efa7300eedfcf51db")
 
     def test_row_partitioning_invariance(self, monkeypatch):
         # splitting the anchor rows into arbitrary chunks, or stepping them in

@@ -78,6 +78,31 @@ def heavy_tailed_degrees(n, seed):
     return np.clip(3.0 * rng.pareto(1.5, n) + 0.2, 0.1, 0.4 * n)
 
 
+class TestConjugateGradients:
+    # scipy.sparse.linalg.cg is the oracle: the solver's CG must return the
+    # same bits and iteration count, so scm.json does not move.  (60, 6.0)
+    # runs into the 10 n iteration cap.
+    @pytest.mark.parametrize("n,spread", [(1, 0.0), (2, 1.0), (7, 3.0), (60, 6.0), (300, 4.0)])
+    def test_matches_scipy_cg(self, n, spread):
+        from scipy.sparse.linalg import LinearOperator, cg
+
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        scale = np.exp(rng.uniform(-spread, spread, n))  # badly scaled rows and columns
+        a = scale[:, None] * (q * np.logspace(0, spread, n)) @ q.T * scale[None, :]
+        a = 0.5 * (a + a.T)
+        jacobi = 1.0 / np.diag(a)
+        for b in (rng.normal(size=n), np.zeros(n)):
+            steps = []
+            want, _ = cg(LinearOperator((n, n), matvec=lambda u: a @ u, dtype=float), b,
+                         rtol=scm._CG_RTOL,
+                         M=LinearOperator((n, n), matvec=lambda u: jacobi * u, dtype=float),
+                         callback=lambda _: steps.append(1))
+            got, iterations = scm._cg(lambda u: a @ u, jacobi, b)
+            assert got.tobytes() == want.tobytes()
+            assert iterations == len(steps)
+
+
 class TestDegreeClasses:
     @pytest.mark.parametrize("k", [heavy_tailed_degrees(600, 2), sampled_degrees(3000, 4)],
                              ids=["heavy-tailed", "sampled-integer"])
