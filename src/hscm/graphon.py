@@ -59,12 +59,20 @@ def expected_degree_fn(p: EnsembleParams, x):
 
         kappa_n(x) = (n - 1) * 2F1(1, gamma; gamma + 1; -exp(x + r_n)),
 
-    one vectorised scipy.special.hyp2f1 call.
+    one vectorised scipy.special.hyp2f1 call.  From gamma ~ 99 on, hyp2f1
+    can return NaN or values outside [0, 1]; those raise DomainError.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x - p.r_n > 1e-12 * max(1.0, abs(p.r_n))):
         raise DomainError(f"coordinate {np.max(x)} above the support end {p.r_n}")
-    out = (p.n - 1) * hyp2f1(1.0, p.gamma, p.gamma + 1.0, -np.exp(x + p.r_n))
+    f = hyp2f1(1.0, p.gamma, p.gamma + 1.0, -np.exp(x + p.r_n))
+    bad = ~((f >= 0.0) & (f <= 1.0))  # also flags NaN
+    if bad.any():
+        i = np.argmax(bad)
+        raise DomainError(f"expected degree: hyp2f1(1, gamma; gamma + 1; -exp(x + r_n)) = "
+                          f"{f.flat[i]} outside [0, 1] at x={x.flat[i]} for gamma={p.gamma}, "
+                          f"nu={p.nu}, n={p.n}")
+    out = (p.n - 1) * f
     return out if out.ndim else float(out)
 
 

@@ -9,6 +9,7 @@ import re
 import tempfile
 import warnings
 from contextlib import contextmanager
+from itertools import islice
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .sampler import Graph
 
 SCHEMA_VERSION = 1
 EDGE_FORMAT_TAG = "hscm v1"
-_HEADER = re.compile(r"#\s*" + re.escape(EDGE_FORMAT_TAG) + r"\b.*?\bn=(\d+)")
+_HEADER = re.compile(rb"#\s*" + re.escape(EDGE_FORMAT_TAG.encode()) + rb"\b.*?\bn=(\d+)")
 _WRITE_CHUNK = 1 << 16  # edges formatted per write
 # "00".."99" as 100 uint16 cells, and the separator cells " \0" and "\n\0".
 # The writer fills a native uint16 array from these and writes its native
@@ -25,16 +26,6 @@ _WRITE_CHUNK = 1 << 16  # edges formatted per write
 # whatever the machine's byte order.
 _DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
 _SEPARATORS = np.frombuffer(b" \0\n\0", np.uint16)
-# loadtxt numbers data rows (comment and blank lines skipped) from 0 in
-# conversion errors and from 1 in missing-column errors.  Ids parse as int32;
-# an integer that int64 holds (up to 18 digits) is out of range, not bad.
-_LOADTXT_ROW = (
-    (re.compile(r"could not convert string '(?P<id>[+-]?\d{1,18})' to int32 at row (?P<row>\d+)",
-                re.ASCII), 0, "node id {id} outside [0, 2**31)"),
-    (re.compile(r"could not convert string (?P<token>'.*') to int32 at row (?P<row>\d+)"),
-     0, "bad node id {token}"),
-    (re.compile(r"invalid column index \d+ at row (?P<row>\d+)"), 1, "expected two node ids"),
-)
 
 
 @contextmanager
@@ -86,91 +77,90 @@ def write_edge_list(path, graph: Graph, seed: int):
             fh.write(rows[masks[digits[:, 0] * width + digits[:, 1]]].tobytes().decode("ascii"))
 
 
-def _file_line(path, row: int) -> int:
-    """1-based line of the row-th (0-based) data line, counted as loadtxt counts."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+def _data_lines(path, error):
+    """(1-based line, tokens before '#') of each line of `path` that holds a token.
+
+    Lines end where np.loadtxt ends them, at '\n', '\r\n' or '\r'; the first
+    line that is not UTF-8 raises error(path, line, message)."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.split("#", 1)[0].strip():
-                if row == 0:
-                    return lineno
-                row -= 1
-    return 0
+            if not line.isascii():  # decode the bytes that surrogateescape kept
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise error(path, lineno, str(exc)) from None
+            tokens = line.split("#", 1)[0].split()
+            if tokens:
+                yield lineno, tokens
 
 
-def _decode_error(path):
-    """(1-based line, message) of the first line of `path` that is not UTF-8."""
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")  # b"\n" is never inside a multi-byte character
-            except UnicodeDecodeError as exc:
-                return lineno, str(exc)
-    return 0, "text is not utf-8"
-
-
-def _reject_ids(path, ids, bad, reason):
-    """Raise EdgeListParseError at the first id flagged in `bad`, if any."""
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise EdgeListParseError(path, _file_line(path, row), f"node id {ids[row, col]} {reason}")
+def _check_ids(path, n):
+    """Raise EdgeListParseError at the first line whose first two tokens are not
+    node ids in [0, 2**31), or in [0, n) when n is not None.  An id is an
+    optional sign and 1 to 18 ASCII digits; a longer integer is bad, not large."""
+    for lineno, tokens in _data_lines(path, EdgeListParseError):
+        if len(tokens) < 2:
+            raise EdgeListParseError(path, lineno, "expected two node ids")
+        for token in tokens[:2]:
+            digits = token[1:] if token[0] in "+-" else token
+            if not (digits.isdigit() and digits.isascii() and len(digits) <= 18):
+                raise EdgeListParseError(path, lineno, f"bad node id '{token}'")
+            value = int(token)
+            if not 0 <= value < 2**31:
+                raise EdgeListParseError(path, lineno, f"node id {value} outside [0, 2**31)")
+            if n is not None and value >= n:
+                raise EdgeListParseError(path, lineno,
+                                         f"node id {value} out of range for n={n}")
 
 
 def parse_edge_list(path):
     """The (m, 2) int32 node ids of an edge-list file, and n from its header.
 
-    Text after '#' and blank lines are skipped, the first two whitespace-
-    separated columns are node ids in [0, 2**31) and further columns are
-    ignored.  n comes from a first line '# hscm v1 n=<n> ...' and is None
-    without one.  Bad input raises EdgeListParseError naming the file line.
+    Text after '#' and blank lines are skipped, and of the whitespace-
+    separated columns the first two are node ids in [0, 2**31), or in [0, n)
+    for n from a first line '# hscm v1 n=<n> ...' (None without one).  Bad
+    input raises EdgeListParseError naming the first file line at fault.
     """
+    with open(path, "rb") as fh:
+        header = _HEADER.match(fh.readline().strip())
+    n = int(header.group(1)) if header else None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             ids = np.loadtxt(path, dtype=np.int32, comments="#", ndmin=2,
                              usecols=(0, 1), encoding="utf-8")
-    except UnicodeDecodeError:
-        raise EdgeListParseError(path, *_decode_error(path)) from None
-    except ValueError as exc:
-        for pattern, base, message in _LOADTXT_ROW:
-            match = pattern.match(str(exc))
-            if match:
-                raise EdgeListParseError(path, _file_line(path, int(match["row"]) - base),
-                                         message.format(**match.groupdict())) from None
+    except ValueError as exc:  # UnicodeDecodeError too
+        _check_ids(path, n)
         raise EdgeListParseError(path, 0, str(exc)) from None
-    _reject_ids(path, ids, ids < 0, "outside [0, 2**31)")
-    with open(path, "r", encoding="utf-8") as fh:
-        header = _HEADER.match(fh.readline().strip())
-    return ids, (int(header.group(1)) if header else None)
+    if ids.size and (ids.min() < 0 or (n is not None and ids.max() >= n)):
+        _check_ids(path, n)  # raises: the lines hold the ids loadtxt read
+    return ids, n
 
 
 def read_edge_list(path) -> Graph:
-    """Read an edge list written by write_edge_list (header required for n).
-
-    The first line that breaks Graph's form raises EdgeListParseError.
-    """
+    """Read an edge list written by write_edge_list (header required for n); the
+    first line that breaks Graph's form raises EdgeListParseError."""
     ids, n = parse_edge_list(path)
     if n is None:
         raise EdgeListParseError(path, 0, f"missing '# {EDGE_FORMAT_TAG}' header")
     graph = Graph(n=n, edges=ids)
     fault = graph.first_fault()
     if fault is not None:
-        raise EdgeListParseError(path, _file_line(path, fault[0]), fault[1])
+        lineno, _ = next(islice(_data_lines(path, EdgeListParseError), fault[0], None))
+        raise EdgeListParseError(path, lineno, fault[1])
     return graph
 
 
 def read_degrees(path) -> list:
-    """The whitespace-separated numbers of a text file, as expected degrees.
-
-    A token that is not a number, or a line that is not UTF-8, raises
-    ParseError naming the file line.
-    """
+    """The numbers of a text file, as expected degrees, read in the edge-list
+    line grammar.  A token that is not a number, or a line that is not UTF-8,
+    raises ParseError naming the file line."""
     degrees = []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                degrees.extend(float(token) for token in line.decode("utf-8").split())
-            except ValueError as exc:  # also UnicodeDecodeError
-                raise ParseError(path, lineno, str(exc)) from None
+    for lineno, tokens in _data_lines(path, ParseError):
+        try:
+            degrees.extend(map(float, tokens))
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
     return degrees
 
 

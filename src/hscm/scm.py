@@ -26,6 +26,7 @@ _TERMS = 18  # series terms; the first one left out is below 19 e^-38 < 1e-15
 _SEGMENT = 30.0  # span of one cumulative-sum anchor: e^(18 (30 - 2)) < e^709
 _PASS_ELEMENTS = 1 << 16  # values one vectorised pass holds when n is smaller
 _CG_RTOL = 1e-12  # conjugate gradients stop once |residual| < _CG_RTOL |rhs|
+_MIN_DEGREE = np.finfo(float).tiny  # a subnormal degree's Hessian diagonal underflows to 0
 
 
 @dataclass(frozen=True)
@@ -121,9 +122,9 @@ def solve_scm(k, tol: float = 1e-10) -> ScmInstance:
     so there is one unknown per distinct degree.  Each Newton step on the convex
     dual comes from Jacobi-preconditioned conjugate gradients on the Hessian,
     applied through pair_sums, and is halved until max_i |sum_j p_ij - k_i|
-    falls.  tol must be finite and > 0.  A non-finite step, a step halved
-    below 2**-30, or 200 residual evaluations without reaching tol raise
-    ConvergenceError.
+    falls.  tol must be finite and > 0, and every degree a normal float
+    below n - 1.  A non-finite step, a step halved below 2**-30, or 200
+    residual evaluations without reaching tol raise ConvergenceError.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and > 0, not {tol}")
@@ -131,10 +132,11 @@ def solve_scm(k, tol: float = 1e-10) -> ScmInstance:
     n = k.size
     if n < 2:
         raise DomainError("need at least two nodes")
-    bad = ~((k > 0.0) & (k < n - 1))  # also flags NaN
+    bad = ~((k >= _MIN_DEGREE) & (k < n - 1))  # also flags NaN
     if bad.any():
         i = int(np.argmax(bad))
-        raise DomainError(f"expected degree k[{i}] = {k[i]} outside (0, n - 1) for n={n}")
+        raise DomainError(f"expected degree k[{i}] = {k[i]} outside "
+                          f"[{_MIN_DEGREE}, n - 1) for n={n}")
 
     v, inverse, m = np.unique(k, return_inverse=True, return_counts=True)
     where = f"(n={n}, {v.size} distinct degrees)"

@@ -10,9 +10,9 @@ from scipy.special import gammaln, xlogy, zeta
 
 from .errors import DomainError, EdgeListParseError, InsufficientTailError
 from .graphon import expected_degree_fn
-from .params import EnsembleParams, mu_n_quantile
+from .params import EnsembleParams
 from .quadrature import gauss_legendre_nodes
-from .io import _reject_ids, parse_edge_list
+from .io import parse_edge_list
 from .sampler import Graph, edge_keys, edges_from_keys
 from .theory import DegreeLaw, expected_avg_degree_finite_n
 
@@ -86,19 +86,19 @@ _PMF_NODES = 512  # Gauss-Legendre nodes of finite_n_degree_pmf
 def finite_n_degree_pmf(p: EnsembleParams, k_max: int) -> np.ndarray:
     """Mixed-Poisson pmf with the finite-n mixing kappa_n(X), by quadrature.
 
-    The latent quantile u is substituted as u = z**gamma so that the mixing
-    parameter is nearly proportional to 1/z, then integrated with
-    Gauss-Legendre nodes; kappa_n at the nodes is the closed-form expected
-    degree.  Returns pmf(0..k_max); the deficit to 1 is the tail mass.
+    The latent quantile u is substituted as u = v**(4 gamma): the coordinate
+    r_n + 4 log(v) never underflows and the weight 4 gamma v**(4 gamma - 1)
+    is thrice differentiable at 0, so Gauss-Legendre nodes in v integrate
+    kappa_n's Poisson pmf.  Returns pmf(0..k_max); the deficit is tail mass.
     """
-    z, wz = gauss_legendre_nodes(0.0, 1.0, _PMF_NODES)
-    w = wz * p.gamma * z ** (p.gamma - 1.0)
-    kappa = expected_degree_fn(p, mu_n_quantile(p, z ** p.gamma))
+    v, wv = gauss_legendre_nodes(0.0, 1.0, _PMF_NODES)
+    w = wv * 4.0 * p.gamma * v ** (4.0 * p.gamma - 1.0)
+    kappa = expected_degree_fn(p, p.r_n + 4.0 * np.log(v))
     ks = np.arange(k_max + 1, dtype=float)
     # xlogy keeps k * log(kappa) at 0 for k = 0 when kappa = 0 (n = 1)
     log_pois = xlogy(ks[:, None], kappa[None, :]) - kappa[None, :] \
         - gammaln(ks + 1.0)[:, None]
-    return np.exp(log_pois) @ w
+    return np.minimum(np.exp(log_pois) @ w, 1.0)  # n = 1 rounds to 1 +- ulp
 
 
 @dataclass(frozen=True)
@@ -232,17 +232,14 @@ def tail_exponent_fit(h: DegreeHistogram) -> TailFit:
 def ingest_edge_list(path) -> DegreeHistogram:
     """Histogram of an external edge list, parsed by :func:`hscm.io.parse_edge_list`.
 
-    n and 0-indexed ids come from a '# hscm v1 n=<n>' header (an id >= n
-    raises EdgeListParseError); without one, n is one past the largest id
-    and ids are 1-indexed when no zero id appears.  Self-loops and duplicate
-    edges are dropped and counted.  The edges are kept only as canonical
-    keys, sorted in place unless they already increase, as written files do,
-    and turned into edges over the keys to count degrees.
+    n and 0-indexed ids come from a '# hscm v1 n=<n>' header; without one,
+    n is one past the largest id and ids are 1-indexed when no zero id
+    appears.  Self-loops and duplicate edges are dropped and counted.  Only
+    canonical keys are kept, sorted in place unless they already increase,
+    as written files do, and turned into edges to count degrees.
     """
     ids, n = parse_edge_list(path)
-    if n is not None:
-        _reject_ids(path, ids, ids >= n, f"out of range for n={n}")
-    elif ids.size:
+    if n is None and ids.size:
         if ids.min() >= 1:  # 1-indexed input
             ids -= 1
         n = int(ids.max()) + 1

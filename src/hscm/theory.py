@@ -62,10 +62,12 @@ class DegreeLaw:
         """pmf(0..k_max) by one recurrence in pmf space, seeded by one quadrature.
 
         With x = beta*nu and pi_k = x^k e^-x / k!,
-        (k + 1) P_{k+1} = (k - gamma) P_k + gamma pi_k.  Against the pmf, its
-        homogeneous solution grows by a factor of about (gamma - k - 1) / x
-        per step up, so the pmf is seeded at
-        K = min(k_max, max(0, floor(gamma - x))),
+        (k + 1) P_{k+1} = (k - gamma) P_k + gamma pi_k.  For k < gamma both
+        sides' terms are positive: with q = (k + 1) P_{k+1} / (gamma pi_k), a
+        step up scales the error of P_k by (1 - q) / q and a step down that of
+        P_{k+1} by q / (1 - q), and q grows with k.  So the pmf is seeded at
+        K = min(k_max, max(0, floor(gamma - x))), or at K + 1 where the step
+        from K has q <= 1/2 (for small x, the step across k = gamma), with
         P_K = gamma pi_K x^(gamma-K) e^x Gamma(K - gamma, x), and the
         recurrence runs down to 0 and up to k_max, each in its stable
         direction.  pi_k is taken in log space, so no term underflows before
@@ -78,10 +80,16 @@ class DegreeLaw:
         gamma, x = self.params.gamma, self.params.pareto_scale
         k_max = int(k_max)
         seed = min(int(max(0.0, gamma - x)), k_max)
+        # q of the step from the seed is x^(1-a) e^x Gamma(a, x) at a = seed + 1 - gamma
+        q = _upper_gamma_quad(seed + 1 - gamma, x) if seed < min(gamma, k_max) else 1.0
+        if q <= 0.5:
+            seed += 1  # and q is the seed's own factor
+        else:
+            q = _upper_gamma_quad(seed - gamma, x)
         ks = np.arange(k_max + 1)
         pois = np.exp(ks * math.log(x) - x - gammaln(ks + 1.0)).tolist()
         out = np.empty(k_max + 1)
-        out[seed] = pk = gamma * pois[seed] * _upper_gamma_quad(seed - gamma, x) / x
+        out[seed] = pk = gamma * pois[seed] * q / x
         for k in range(seed - 1, -1, -1):
             pk = (gamma * pois[k] - (k + 1) * pk) / (gamma - k)
             out[k] = pk

@@ -365,6 +365,15 @@ class TestScmIngestAndErrors:
         assert f"{degrees}:2: 'utf-8' codec" in capsys.readouterr().err
         assert not (tmp_path / "scm.json").exists()
 
+    def test_scm_solve_degree_file_skips_comments_and_blank_lines(self, tmp_path):
+        # degree files follow the edge-list line grammar
+        degrees = tmp_path / "k.txt"
+        degrees.write_text("# expected degrees\n0.2  # node 0\n\n   \n0.2\n")
+        assert run_cli("scm-solve", "--degrees-file", degrees, "--tol", 1e-12,
+                       "--out", tmp_path) == 0
+        doc = json.loads((tmp_path / "scm.json").read_text())
+        assert doc["residual"] < 1e-12 and len(doc["multipliers"]) == 2
+
     def test_scm_solve_infeasible_exit_3(self, tmp_path, capsys):
         degrees = tmp_path / "k.txt"
         degrees.write_text("2.9 2.9 2.9 0.1\n")

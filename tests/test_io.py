@@ -151,6 +151,20 @@ def test_read_error_names_physical_line(tmp_path, bad, message):
     assert message in str(err.value)
 
 
+def test_bad_line_found_without_loadtxt_wording(tmp_path, monkeypatch):
+    # the line at fault comes from walking the file, not from np.loadtxt's
+    # message, whose wording and row numbers are numpy's own
+    def unrecognised(*args, **kwargs):
+        raise ValueError("unrecognised")
+
+    path = tmp_path / "bad.txt"
+    path.write_text(PREAMBLE + "0 nope\n1 2\n")
+    monkeypatch.setattr(hio.np, "loadtxt", unrecognised)
+    with pytest.raises(EdgeListParseError) as err:
+        ingest_edge_list(str(path))
+    assert f"{path}:6: bad node id 'nope'" in str(err.value)
+
+
 def test_non_utf8_is_a_parse_error(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"0 1\n\n1 \xff\n")

@@ -17,6 +17,7 @@ from hscm.cli import main
 from hscm.entropy import gibbs_entropy_bounds
 from hscm.errors import DomainError
 from hscm.params import derive_params
+from hscm.stats import finite_n_degree_pmf
 from hscm.theory import DegreeLaw, expected_avg_degree_finite_n, finite_size_degree_tail
 
 # Each float is drawn both plainly and log-uniformly, so that every decade
@@ -51,6 +52,13 @@ def test_library_outputs_are_finite(gamma, nu, n, k_max):
         ts = np.geomspace(p.pareto_scale / 4.0, 1.2 * math.sqrt(p.nu * p.n), 20)
         assert np.all(np.isfinite(finite_size_degree_tail(p, ts)))
         assert math.isfinite(expected_avg_degree_finite_n(p))
+        try:  # scipy's hyp2f1 leaves [0, 1] from gamma ~ 99 on
+            fin = finite_n_degree_pmf(p, k_max)
+        except DomainError:
+            pass
+        else:
+            assert np.all(np.isfinite(fin)) and np.all((fin >= 0.0) & (fin <= 1.0))
+            assert fin.sum() <= 1.0 + 1e-12
         try:
             report = gibbs_entropy_bounds(p)
         except DomainError:
@@ -79,4 +87,15 @@ def test_entropy_command_exits_0_or_2(tmp_path_factory, gamma, nu, n):
         warnings.simplefilter("error", RuntimeWarning)
         code = main(["entropy", "--gamma", repr(gamma), "--nu", repr(nu), "--sizes", str(n),
                      "--out", str(out)])
+    assert code in (0, 2)
+
+
+@given(gammas, nus, st.integers(1, 3000))
+@settings(max_examples=30, deadline=None)
+def test_degrees_command_exits_0_or_2(tmp_path_factory, gamma, nu, n):
+    out = tmp_path_factory.mktemp("degrees")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["degrees", "--gamma", repr(gamma), "--nu", repr(nu), "--n", str(n),
+                     "--seed", "1", "--out", str(out)])
     assert code in (0, 2)

@@ -130,6 +130,15 @@ class TestDegreeClasses:
         with pytest.raises(DomainError, match="k\\[1\\]"):
             solve_scm([1.0, bad, 1.0])
 
+    # a subnormal degree's Hessian diagonal underflows to 0, so its inverse
+    # overflowed and the solve ended in RuntimeWarnings and a NaN step
+    @pytest.mark.parametrize("k,i", [([5e-324, 1, 1, 1], 0), ([1e-320, 2, 2, 2, 2], 0),
+                                     ([2.9999999999, 2.9999999999, 3, 3, 1e-310], 4)])
+    def test_subnormal_degrees_rejected(self, k, i):
+        with np.errstate(all="raise"):
+            with pytest.raises(DomainError, match=rf"k\[{i}\] = {k[i]} outside"):
+                solve_scm(k)
+
     def test_more_than_4096_classes_solve_without_dense_matrix(self):
         k = np.linspace(1.0, 2.0, 4097)
         tracemalloc.start()

@@ -116,6 +116,21 @@ class TestDegreePmf:
         for k in range(k_max + 1):
             assert pmf[k] == pytest.approx(float(pmf_mpmath(mixing(law), k)), rel=1e-11)
 
+    # x = beta nu below gamma - floor(gamma), so the first step up from
+    # floor(gamma - x) would cross k = gamma and scale the seed's rounding by
+    # about x^-(gamma - floor(gamma)); and gamma just above an integer, where
+    # the step just below gamma is the unstable one upward
+    @pytest.mark.parametrize("gamma,nu,n", [(2.871598175342622, 1.1709847934051503e-09, 263095832),
+                                            (3.999, 1e-9, 1000), (3.5, 1e-9, 1000),
+                                            (3.000000001, 1e-6, 1000), (57.394, 5.9e-9, 1000)])
+    def test_seed_never_steps_up_across_gamma(self, gamma, nu, n):
+        law = DegreeLaw(derive_params(gamma, nu, n))
+        pmf = law.pmf_array(60)
+        for k in range(61):
+            ref = float(pmf_mpmath(mixing(law), k))
+            if ref > 1e-290:
+                assert pmf[k] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("a", [-199.5, -50.5, -1.5, -1e-9])
     @pytest.mark.parametrize("x", [1e-12, 1e-5, 1.0, 1e3, 1e5, 1e6, 1e7])
     def test_seed_quadrature_matches_mpmath(self, a, x):
