@@ -158,9 +158,11 @@ def solve_scm(k, tol: float = 1e-10) -> ScmInstance:
             return ScmInstance(n, k.copy(), lam[inverse], res, tuple(path[1:]), cg_steps)
         q_self = _logistic_neg(2.0 * lam) * _logistic_neg(-2.0 * lam)
         diag = m * (pair_sums(lam, m, True) - 2.0 * q_self)
-        jacobi = 1.0 / (diag + m * m * q_self)  # inverse Hessian diagonal
-        step, iterations = _cg(lambda u: m * pair_sums(lam, m * u, True) + diag * u,
-                               jacobi, m * (s - v))
+        # an infeasible sequence can zero the Hessian; the check below rejects the step
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            jacobi = 1.0 / (diag + m * m * q_self)  # inverse Hessian diagonal
+            step, iterations = _cg(lambda u: m * pair_sums(lam, m * u, True) + diag * u,
+                                   jacobi, m * (s - v))
         cg_steps += iterations
         if not np.all(np.isfinite(step)):
             raise ConvergenceError(f"non-finite Newton step at residual {res:.3e} {where}")

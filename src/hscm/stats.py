@@ -156,29 +156,7 @@ _ALPHA_LO, _ALPHA_HI = 1.000001, 40.0
 # runaway exponents.
 _KS_REJECT = 0.1
 _ALPHA_REJECT = 10.0
-
-
-def _zeta_log_deriv(alpha: float, k_min: int) -> float:
-    h = 1e-5
-    return (math.log(zeta(alpha + h, k_min)) - math.log(zeta(alpha - h, k_min))) / (2 * h)
-
-
-def _mle_alpha(mean_log: float, k_min: int) -> float:
-    """Solve -zeta'(a, k_min)/zeta(a, k_min) = mean_log by bisection."""
-
-    def g(a):
-        return -_zeta_log_deriv(a, k_min) - mean_log
-
-    lo, hi = _ALPHA_LO, _ALPHA_HI
-    if g(hi) > 0.0:  # sample mean-log below the model's infimum
-        return _ALPHA_HI
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+_H = 1e-5  # step of the central difference of log zeta in alpha
 
 
 def tail_exponent_fit(h: DegreeHistogram) -> TailFit:
@@ -188,39 +166,48 @@ def tail_exponent_fit(h: DegreeHistogram) -> TailFit:
     k_min chosen to minimize the Kolmogorov-Smirnov distance over candidate
     cutoffs that keep at least 100 tail samples.  Degenerate inputs
     (too little tail, no power-law decay) raise InsufficientTailError.
+    Every step works on the distinct positive degrees d present, all
+    candidate cutoffs at once.
     """
     counts = h.counts.astype(np.int64)
-    ks = np.arange(counts.size)
-    present = ks[(counts > 0) & (ks >= 1)]
-    if present.size < 2:
+    d = np.flatnonzero(counts[1:]) + 1
+    if d.size < 2:
         raise InsufficientTailError("histogram has fewer than two positive-degree values")
-    cand = present[:-1]
-    if cand.size > 64:  # thin the scan, keeping the log profile
-        keep = np.geomspace(cand[0], cand[-1], 64)
-        idx = np.searchsorted(cand, keep, side="left").clip(0, cand.size - 1)
-        cand = np.unique(cand[idx])
-
-    best = None
-    for km in cand.tolist():
-        sel = ks >= km
-        c = counts[sel]
-        kv = ks[sel]
-        n_tail = int(c.sum())
-        if n_tail < _MIN_TAIL_SAMPLES or (c > 0).sum() < 2:
-            continue
-        mean_log = float(c @ np.log(kv)) / n_tail
-        alpha = _mle_alpha(mean_log, km)
-        # KS distance between the fitted and empirical tail CDFs
-        z0 = zeta(alpha, km)
-        model_cdf = 1.0 - zeta(alpha, kv + 1.0) / z0
-        emp_cdf = np.cumsum(c) / n_tail
-        ksd = float(np.max(np.abs(model_cdf - emp_cdf)))
-        if best is None or ksd < best.ks_distance:
-            best = TailFit(alpha=alpha, k_min=km, ks_distance=ksd, n_tail=n_tail)
-
-    if best is None:
+    n_tail = np.cumsum(counts[d][::-1])[::-1]  # tail size and log sum from each d
+    log_sum = np.cumsum((counts[d] * np.log(d))[::-1])[::-1]
+    cut = np.arange(d.size - 1)  # the last present degree is never a cutoff
+    if cut.size > 64:  # thin the scan, keeping the log profile
+        keep = np.geomspace(d[0], d[-2], 64)
+        cut = np.unique(np.searchsorted(d[:-1], keep, side="left").clip(0, d.size - 2))
+    cut = cut[n_tail[cut] >= _MIN_TAIL_SAMPLES]
+    if cut.size == 0:
         raise InsufficientTailError(
             f"no cutoff leaves at least {_MIN_TAIL_SAMPLES} tail samples")
+    k_min, n_cut = d[cut].astype(float), n_tail[cut]
+    mean_log = log_sum[cut] / n_cut
+
+    def excess(a):  # -d/da log zeta(a, k_min) - mean_log, by a central difference
+        return (np.log(zeta(a - _H, k_min)) - np.log(zeta(a + _H, k_min))) / (2 * _H) - mean_log
+
+    # bisect the likelihood equation; a mean log below the model's infimum gives _ALPHA_HI
+    lo, hi = np.full(cut.size, _ALPHA_LO), np.full(cut.size, _ALPHA_HI)
+    below = excess(hi) > 0.0
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        up = excess(mid) > 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    alpha = np.where(below, _ALPHA_HI, 0.5 * (lo + hi))
+
+    # The empirical CDF is flat between present degrees while the model's
+    # rises, so the KS distance peaks at a present degree or just before the next.
+    k = np.union1d(d, d[1:] - 1)
+    above = np.append(n_tail, 0)[np.searchsorted(d, k, side="right")]
+    emp = (n_cut[:, None] - above) / n_cut[:, None]
+    model = 1.0 - zeta(alpha[:, None], k + 1.0) / zeta(alpha, k_min)[:, None]
+    ks = np.where(k >= k_min[:, None], np.abs(model - emp), 0.0).max(axis=1)
+    j = int(np.argmin(ks))
+    best = TailFit(alpha=float(alpha[j]), k_min=int(k_min[j]), ks_distance=float(ks[j]),
+                   n_tail=int(n_cut[j]))
     if (best.ks_distance > _KS_REJECT or best.alpha >= _ALPHA_REJECT
             or best.alpha <= _ALPHA_LO * 1.01):
         raise InsufficientTailError(

@@ -26,6 +26,11 @@ it gives every pair i < j its own keyed draw, where sampler.sample_graph_fast
 skips over the pairs geometrically.  naive_replica seeds it as
 sampler.sample_replica seeds a replica.
 
+tail_exponent_fit_loop is stats.tail_exponent_fit as it stood before the fit
+worked on the distinct degrees present: one cutoff at a time, each bisected
+in a scalar loop, with the model CDF at every integer from k_min to the
+largest degree.
+
 skip_rows_reference is the skip engine as sampler._run_skip_rows stood
 before it hashed each row's stream prefix once and cut long rows into
 segments: every draw re-hashes (seed, tag, row, counter) through
@@ -51,12 +56,15 @@ from scipy import integrate, special
 from scipy.special import xlogy
 
 from hscm.entropy import graphon_entropy, interval_masses, partition
-from hscm.errors import DomainError
+from hscm.errors import DomainError, InsufficientTailError
 from hscm import rng
 from hscm.graphon import _logistic_neg, bernoulli_entropy, expectation_of_sum, w_fermi_dirac
 from hscm.params import derive_params, mu_n_quantile
 from hscm.quadrature import gauss_legendre_nodes
 from hscm.sampler import Graph, sample_coordinates
+from hscm.stats import (
+    _ALPHA_HI, _ALPHA_LO, _ALPHA_REJECT, _KS_REJECT, _MIN_TAIL_SAMPLES, TailFit,
+)
 
 
 # -- the classical product kernel of the approximation bounds --
@@ -646,3 +654,70 @@ def truncation_k(law, tol, moment=0):
             (gamma * scale**gamma / ((gamma - 1.0) * tol)) ** (1.0 / (gamma - 1.0))
         )) + 1
     raise DomainError("only moments 0 and 1 are supported")
+
+
+# -- the per-cutoff loop of the tail fit --
+
+def _zeta_log_deriv(alpha, k_min):
+    h = 1e-5
+    return (math.log(special.zeta(alpha + h, k_min))
+            - math.log(special.zeta(alpha - h, k_min))) / (2 * h)
+
+
+def _mle_alpha(mean_log, k_min):
+    """Solve -zeta'(a, k_min)/zeta(a, k_min) = mean_log by bisection."""
+
+    def g(a):
+        return -_zeta_log_deriv(a, k_min) - mean_log
+
+    lo, hi = _ALPHA_LO, _ALPHA_HI
+    if g(hi) > 0.0:  # sample mean-log below the model's infimum
+        return _ALPHA_HI
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def tail_exponent_fit_loop(h):
+    """stats.tail_exponent_fit, fitting and scoring one cutoff at a time."""
+    counts = h.counts.astype(np.int64)
+    ks = np.arange(counts.size)
+    present = ks[(counts > 0) & (ks >= 1)]
+    if present.size < 2:
+        raise InsufficientTailError("histogram has fewer than two positive-degree values")
+    cand = present[:-1]
+    if cand.size > 64:  # thin the scan, keeping the log profile
+        keep = np.geomspace(cand[0], cand[-1], 64)
+        idx = np.searchsorted(cand, keep, side="left").clip(0, cand.size - 1)
+        cand = np.unique(cand[idx])
+
+    best = None
+    for km in cand.tolist():
+        sel = ks >= km
+        c = counts[sel]
+        kv = ks[sel]
+        n_tail = int(c.sum())
+        if n_tail < _MIN_TAIL_SAMPLES or (c > 0).sum() < 2:
+            continue
+        mean_log = float(c @ np.log(kv)) / n_tail
+        alpha = _mle_alpha(mean_log, km)
+        z0 = special.zeta(alpha, km)
+        model_cdf = 1.0 - special.zeta(alpha, kv + 1.0) / z0
+        emp_cdf = np.cumsum(c) / n_tail
+        ksd = float(np.max(np.abs(model_cdf - emp_cdf)))
+        if best is None or ksd < best.ks_distance:
+            best = TailFit(alpha=alpha, k_min=km, ks_distance=ksd, n_tail=n_tail)
+
+    if best is None:
+        raise InsufficientTailError(
+            f"no cutoff leaves at least {_MIN_TAIL_SAMPLES} tail samples")
+    if (best.ks_distance > _KS_REJECT or best.alpha >= _ALPHA_REJECT
+            or best.alpha <= _ALPHA_LO * 1.01):
+        raise InsufficientTailError(
+            f"tail is not power-law-like (KS {best.ks_distance:.3f}, "
+            f"alpha {best.alpha:.2f} at k_min {best.k_min})")
+    return best

@@ -495,3 +495,113 @@ class TestScmIngestAndErrors:
         monkeypatch.setattr(cli_mod, "gibbs_entropy_bounds", boom)
         assert cli_mod.main(["entropy", "--gamma", "2", "--nu", "10",
                              "--sizes", "1000", "--out", str(tmp_path)]) == 3
+
+
+def _cli_outcome(capsys, *argv):
+    """Exit code of the command line, whether returned or raised, and its stderr."""
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def _comment_only_ingest(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("# only a comment\n\n")
+    return _cli_outcome(capsys, "ingest", "--path", path, "--out", tmp_path / "o")
+
+
+def _degrees_in(tmp_path, capsys, files, n):
+    graphs = tmp_path / "in"
+    graphs.mkdir()
+    for name, text in files.items():
+        (graphs / name).write_text(text)
+    return _cli_outcome(capsys, "degrees", "--gamma", 2, "--nu", 10, "--n", n, "--seed", 1,
+                        "--in", graphs, "--out", tmp_path / "o")
+
+
+def _headerless_degrees_in(tmp_path, monkeypatch, capsys):
+    return _degrees_in(tmp_path, capsys, {"g.edges": "0 1\n1 2\n"}, 3)
+
+
+def _empty_degrees_in(tmp_path, monkeypatch, capsys):
+    return _degrees_in(tmp_path, capsys, {"notes.txt": "0 1\n"}, 3)
+
+
+def _wrong_n_degrees_in(tmp_path, monkeypatch, capsys):
+    return _degrees_in(tmp_path, capsys, {"g.edges": "# hscm v1 n=50 seed=1\n0 1\n"}, 60)
+
+
+def _small_graph_ingest(tmp_path, monkeypatch, capsys):
+    run_cli("generate", "--gamma", 2, "--nu", 10, "--n", 50, "--seed", 1, "--out", tmp_path)
+    code, _ = _cli_outcome(capsys, "ingest", "--path", tmp_path / "graph_000.edges",
+                           "--out", tmp_path / "o")
+    return code, json.loads((tmp_path / "o" / "summary.json").read_text())["tail_fit"]["error"]
+
+
+def _memory_error_in_command(tmp_path, monkeypatch, capsys):
+    import hscm.cli as cli_mod
+
+    def exhaust(cfg):
+        raise MemoryError("synthetic")
+
+    monkeypatch.setattr(cli_mod, "cmd_theory", exhaust)
+    return _cli_outcome(capsys, "theory", *MODEL, "--out", tmp_path)
+
+
+def _empty_histogram(tmp_path, monkeypatch, capsys):
+    from hscm.errors import DomainError
+    from hscm.stats import degree_histogram
+
+    with pytest.raises(DomainError) as exc:
+        degree_histogram([])
+    return "DomainError", str(exc.value)
+
+
+def _quadrature_nan_on_half_line(tmp_path, monkeypatch, capsys):
+    from hscm.errors import QuadratureError
+    from hscm.quadrature import quad_checked
+
+    with pytest.raises(QuadratureError) as exc:
+        quad_checked(lambda t: np.where(abs(t - 2.0) < 0.05, np.nan, np.exp(-t)), 0.0, np.inf)
+    return "QuadratureError", str(exc.value)
+
+
+# error branches that no other test reaches
+@pytest.mark.parametrize("case, outcome, message", [
+    (_comment_only_ingest, 4, "c.txt:0: no edges found"),
+    (_headerless_degrees_in, 4, "g.edges:0: missing '# hscm v1' header"),
+    (_empty_degrees_in, 2, "configuration error: no .edges files under"),
+    (_wrong_n_degrees_in, 2, "graphs have n=50 but --n is 60"),
+    (_small_graph_ingest, 0, "no cutoff leaves at least 100 tail samples"),
+    (lambda tmp_path, monkeypatch, capsys: _cli_outcome(
+        capsys, "entropy", "--gamma", 2, "--nu", 10, "--sizes", "10,x", "--out", tmp_path),
+     2, "--sizes must be comma-separated integers"),
+    (lambda tmp_path, monkeypatch, capsys: _cli_outcome(
+        capsys, "scm-solve", "--gamma", 2, "--out", tmp_path),
+     2, "scm-solve needs --degrees-file or all of --gamma/--nu/--n/--seed"),
+    (lambda tmp_path, monkeypatch, capsys: _cli_outcome(
+        capsys, "theory", *MODEL, "--k-max", 1.5, "--out", tmp_path),
+     2, "invalid integer '1.5'"),
+    (_memory_error_in_command, 2,
+     "configuration error: not enough memory for n=100, k_max=100, t_points=200: synthetic"),
+    (_empty_histogram, "DomainError", "no graphs given"),
+    (_quadrature_nan_on_half_line, "QuadratureError",
+     "quadrature on [0.0, inf]: non-finite integrand on [1, 3]"),
+], ids=["ingest-comments-only", "degrees-in-no-header", "degrees-in-no-edges-files",
+        "degrees-in-wrong-n", "ingest-tail-fit-error", "entropy-sizes-not-integers",
+        "scm-solve-gamma-only", "k-max-not-integer", "memory-error", "empty-histogram",
+        "quadrature-non-finite-on-half-line"])
+def test_error_branch(case, outcome, message, tmp_path, monkeypatch, capsys):
+    got, text = case(tmp_path, monkeypatch, capsys)
+    assert got == outcome
+    assert message in text and "Traceback" not in text
+
+
+@pytest.mark.parametrize("degrees", ["0.001 0.001 1", "1e-300 1e-300 1"])
+def test_scm_solve_zero_hessian_exit_3(degrees, tmp_path, capsys):
+    path = tmp_path / "k.txt"
+    path.write_text(degrees + "\n")
+    assert run_cli("scm-solve", "--degrees-file", path, "--out", tmp_path) == 3
+    assert "numerical failure: non-finite Newton step" in capsys.readouterr().err

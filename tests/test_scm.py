@@ -125,6 +125,13 @@ class TestDegreeClasses:
         with pytest.raises(ConvergenceError, match="residual"):
             solve_scm([2.9, 2.9, 2.9, 0.1])
 
+    # the CG step divides by zero on the first and the Jacobi preconditioner on
+    # the second; the suite turns RuntimeWarnings into errors
+    @pytest.mark.parametrize("k", [[0.001, 0.001, 1.0], [1e-300, 1e-300, 1.0]])
+    def test_infeasible_degrees_give_non_finite_step_without_warnings(self, k):
+        with pytest.raises(ConvergenceError, match="non-finite Newton step"):
+            solve_scm(k)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_degrees_rejected(self, bad):
         with pytest.raises(DomainError, match="k\\[1\\]"):

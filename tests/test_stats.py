@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from oracles import mixing, truncation_k
+from oracles import mixing, tail_exponent_fit_loop, truncation_k
 from hscm.errors import DomainError, EdgeListParseError, InsufficientTailError
 from hscm.params import derive_params
 from hscm.sampler import Graph, sample_replica
@@ -166,6 +166,46 @@ class TestTailExponent:
                             n=79, n_graphs=1)
         with pytest.raises(InsufficientTailError):
             tail_exponent_fit(h)
+
+
+def _hscm_counts(gamma, nu, n, replicas):
+    p = derive_params(gamma, nu, n)
+    return degree_histogram(sample_replica(p, 1, r) for r in range(replicas)).counts
+
+
+def _zeta_counts(alpha):
+    ks = np.arange(1, 200000)
+    pmf = ks ** (-alpha) / zeta(alpha, 1)
+    return np.bincount(np.random.default_rng(1).choice(ks, p=pmf / pmf.sum(), size=200000))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _hscm_counts(2.0, 10.0, 10**4, 10),
+    lambda: _hscm_counts(2.0, 10.0, 10**6, 1),
+    lambda: _hscm_counts(1.1, 4.92, 10**6, 1),  # 651 degrees present up to 62,583
+    lambda: _hscm_counts(3.5, 2.0, 10**5, 2),
+    lambda: _hscm_counts(2.0, 1.0, 10**3, 1),
+    lambda: _zeta_counts(2.2),
+    lambda: _zeta_counts(3.0),
+    lambda: _zeta_counts(4.5),
+    lambda: np.full(60, 500, dtype=np.int64),  # not power-law-like
+    lambda: np.array([50, 20, 9], dtype=np.int64),  # too few tail samples
+], ids=["g2-e4x10", "g2-e6", "g1.1-e6", "g3.5-e5x2", "g2-nu1-e3",
+        "zeta2.2", "zeta3", "zeta4.5", "flat", "tiny"])
+def test_tail_fit_matches_per_cutoff_loop(make):
+    counts = make()
+    h = DegreeHistogram(counts=counts, n=int(counts.sum()), n_graphs=1)
+    try:
+        want = tail_exponent_fit_loop(h)
+    except InsufficientTailError as exc:
+        with pytest.raises(InsufficientTailError) as got:
+            tail_exponent_fit(h)
+        assert str(got.value) == str(exc)
+        return
+    fit = tail_exponent_fit(h)
+    assert (fit.k_min, fit.n_tail) == (want.k_min, want.n_tail)
+    assert fit.alpha == pytest.approx(want.alpha, rel=1e-12, abs=0)
+    assert fit.ks_distance == pytest.approx(want.ks_distance, rel=1e-12, abs=0)
 
 
 class TestCompareToTheory:
