@@ -106,6 +106,8 @@ def _cg(matvec, jacobi, b):
             return x, iteration
         z = jacobi * r
         rho = np.dot(r, z)
+        if not np.isfinite(rho):  # NaN never meets the stopping test; x + rho is not finite
+            return x + rho, iteration
         p = z if p is None else p * (rho / rho_prev) + z
         q = matvec(p)
         alpha = rho / np.dot(p, q)

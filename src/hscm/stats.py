@@ -86,19 +86,18 @@ _PMF_NODES = 512  # Gauss-Legendre nodes of finite_n_degree_pmf
 def finite_n_degree_pmf(p: EnsembleParams, k_max: int) -> np.ndarray:
     """Mixed-Poisson pmf with the finite-n mixing kappa_n(X), by quadrature.
 
-    The latent quantile u is substituted as u = v**(4 gamma): the coordinate
-    r_n + 4 log(v) never underflows and the weight 4 gamma v**(4 gamma - 1)
-    is thrice differentiable at 0, so Gauss-Legendre nodes in v integrate
+    The latent quantile u is substituted as u = v**4: the coordinate
+    r_n + 4 log(v) / gamma never underflows and the weight 4 v**3, the same
+    at every gamma, is smooth at 0, so Gauss-Legendre nodes in v integrate
     kappa_n's Poisson pmf.  Returns pmf(0..k_max); the deficit is tail mass.
     """
     v, wv = gauss_legendre_nodes(0.0, 1.0, _PMF_NODES)
-    w = wv * 4.0 * p.gamma * v ** (4.0 * p.gamma - 1.0)
-    kappa = expected_degree_fn(p, p.r_n + 4.0 * np.log(v))
+    w = 4.0 * v**3 * wv
+    kappa = expected_degree_fn(p, p.r_n + 4.0 * np.log(v) / p.gamma)
     ks = np.arange(k_max + 1, dtype=float)
     # xlogy keeps k * log(kappa) at 0 for k = 0 when kappa = 0 (n = 1)
-    log_pois = xlogy(ks[:, None], kappa[None, :]) - kappa[None, :] \
-        - gammaln(ks + 1.0)[:, None]
-    return np.minimum(np.exp(log_pois) @ w, 1.0)  # n = 1 rounds to 1 +- ulp
+    log_pois = xlogy(ks[:, None], kappa) - kappa - gammaln(ks + 1.0)[:, None]
+    return (np.exp(log_pois) * w).sum(axis=-1)  # pairwise sums, so sum(w) is exactly 1
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 These deliberately take different routes than the library, which reduces
 every integral of a function of x + y against the latent product measure to
-a 1D Gamma(2, gamma) integral and evaluates kappa_n by scipy's hyp2f1:
+a 1D Gamma(2, gamma) integral and evaluates kappa_n by fixed Gauss-Legendre
+pieces of an Exp(1) expectation:
 
 * the entropy / mean-degree oracles run the full nested 2D quadrature over
   the latent square, truncated at a small latent-measure quantile;

@@ -125,17 +125,20 @@ class TestDegrees:
         assert summary["schema_version"] == 1
         assert 0.0 <= summary["tv_asymptotic"] <= 1.0
 
-    # the finite-n pmf's nodes underflowed above gamma ~ 61; from gamma ~ 99
-    # on scipy's hyp2f1 leaves [0, 1], which exits 2 naming the ensemble
-    @pytest.mark.parametrize("gamma,code", [(62, 0), (80, 0), (99, 0), (99.5, 2), (100, 2),
-                                            (1e3, 2), (1e5, 2)])
-    def test_large_gamma_finite_n_law(self, tmp_path, capsys, gamma, code):
+    # the finite-n pmf's nodes underflowed above gamma ~ 61, and from gamma ~ 99
+    # on scipy's hyp2f1, which computed kappa_n, returned NaN (exit 2)
+    @pytest.mark.parametrize("gamma,code", [(62, 0), (80, 0), (99, 0), (99.5, 0), (100, 0),
+                                            (1e3, 0), (1e5, 0)])
+    def test_large_gamma_finite_n_law(self, tmp_path, gamma, code):
         assert run_cli("degrees", "--gamma", gamma, "--nu", 10, "--n", 1000, "--seed", 1,
                        "--out", tmp_path) == code
-        if code == 0:
-            assert math.isfinite(strict_json(tmp_path / "summary.json")["tv_finite_n"])
-        else:
-            assert f"for gamma={float(gamma)}, nu=10.0, n=1000" in capsys.readouterr().err
+        assert math.isfinite(strict_json(tmp_path / "summary.json")["tv_finite_n"])
+
+    def test_gamma_next_to_integer_finite_n_law(self, tmp_path):
+        # hyp2f1 returned inf within ~1e-13 of gamma = 2, which exited 2
+        assert run_cli("degrees", "--gamma", 2.0000000000000004, "--nu", 1, "--n", 730,
+                       "--seed", 1, "--out", tmp_path) == 0
+        assert math.isfinite(strict_json(tmp_path / "summary.json")["tv_finite_n"])
 
     def test_reads_generated_directory(self, tmp_path):
         gdir, out = tmp_path / "g", tmp_path / "d"

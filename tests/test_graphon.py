@@ -187,13 +187,18 @@ class TestExpectedDegree:
         with pytest.raises(DomainError):
             expected_degree_fn(self.p, [0.0, self.p.r_n + 1.0])
 
-    # adaptive quadrature of kappa_n misses its tolerance at these parameters
+    # adaptive quadrature of kappa_n misses its tolerance at the first three;
+    # scipy's hyp2f1 was 7e-9 off at 1 + 1e-9, returned inf or lost digits
+    # next to gamma = 2 and NaN from gamma ~ 99 on
     @pytest.mark.parametrize("gamma,nu,n", [(3.5, 2.0, 10**4), (3.5, 2.0, 10**6),
-                                            (2.5, 5.0, 10**7)])
+                                            (2.5, 5.0, 10**7), (1 + 1e-9, 1.0, 100),
+                                            (2.0, 10.0, 10**4), (2 + 1e-12, 1.0, 730),
+                                            (100.0, 10.0, 1000), (1e3, 10.0, 1000),
+                                            (1e5, 10.0, 1000)])
     def test_closed_form_matches_mpmath(self, gamma, nu, n):
         p = derive_params(gamma, nu, n)
         u = np.concatenate([np.geomspace(1e-12, 1.0, 13), (np.arange(32) + 0.5) / 32])
-        x = mu_n_quantile(p, u)
+        x = np.concatenate([mu_n_quantile(p, u), p.r_n - np.array([1.0, 5.0, 20.0, 60.0])])
         got = expected_degree_fn(p, x)
         for xi, gi in zip(x, got):
             ref = kappa_mpmath(p, xi)

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -126,11 +127,16 @@ class TestDegreeClasses:
             solve_scm([2.9, 2.9, 2.9, 0.1])
 
     # the CG step divides by zero on the first and the Jacobi preconditioner on
-    # the second; the suite turns RuntimeWarnings into errors
-    @pytest.mark.parametrize("k", [[0.001, 0.001, 1.0], [1e-300, 1e-300, 1.0]])
+    # the second; the suite turns RuntimeWarnings into errors.  The third ran
+    # all 4,010 CG iterations on NaN vectors (2.1 s) before CG stopped at a
+    # non-finite rho.
+    @pytest.mark.parametrize("k", [[0.001, 0.001, 1.0], [1e-300, 1e-300, 1.0],
+                                   np.r_[np.geomspace(1e-300, 1e-290, 400), 1.0]])
     def test_infeasible_degrees_give_non_finite_step_without_warnings(self, k):
+        start = time.process_time()
         with pytest.raises(ConvergenceError, match="non-finite Newton step"):
             solve_scm(k)
+        assert time.process_time() - start < 0.1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_degrees_rejected(self, bad):

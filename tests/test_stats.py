@@ -84,12 +84,14 @@ class TestTvDistance:
 
 class TestFiniteNPmf:
     def test_quadrature_grid_converged(self, monkeypatch):
-        p = derive_params(2.0, 10.0, 10**4)
-        monkeypatch.setattr("hscm.stats._PMF_NODES", 384)
-        a = finite_n_degree_pmf(p, 60)
-        monkeypatch.setattr("hscm.stats._PMF_NODES", 768)
-        b = finite_n_degree_pmf(p, 60)
-        assert np.max(np.abs(a - b)) < 1e-6
+        # the weights 4 gamma v**(4 gamma - 1) of the u = v**(4 gamma) rule
+        # summed to 0.63 at gamma = 1e5
+        for p in (derive_params(2.0, 10.0, 10**4), derive_params(1e5, 10.0, 10**3)):
+            monkeypatch.setattr("hscm.stats._PMF_NODES", 384)
+            a = finite_n_degree_pmf(p, 60)
+            monkeypatch.setattr("hscm.stats._PMF_NODES", 768)
+            b = finite_n_degree_pmf(p, 60)
+            assert np.max(np.abs(a - b)) < 1e-6
 
     def test_mass_and_mean_sane(self):
         from hscm.theory import expected_avg_degree_finite_n
