@@ -17,7 +17,6 @@ from .errors import (
     HscmError,
     InsufficientTailError,
     ParseError,
-    QuadratureError,
     SizeGuardError,
 )
 from .graphon import (

@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     InsufficientTailError,
     ParseError,
-    QuadratureError,
     SizeGuardError,
 )
 from .params import derive_params
@@ -348,7 +347,7 @@ def main(argv=None) -> int:
     except (DomainError, SizeGuardError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, ConvergenceError, InsufficientTailError) as exc:
+    except (ConvergenceError, InsufficientTailError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, ParseError) as exc:

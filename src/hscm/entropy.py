@@ -50,7 +50,7 @@ def interval_masses(p: EnsembleParams, m_n: int) -> np.ndarray:
 
 def graphon_entropy(p: EnsembleParams) -> float:
     """Graphon entropy sigma = E[H(W(X + Y))], a 1D Gamma(2, gamma) integral."""
-    return expectation_of_sum(p, bernoulli_entropy_logit, 1e-7)
+    return expectation_of_sum(p, bernoulli_entropy_logit)
 
 
 def averaged_graphon(p: EnsembleParams, m_n: int) -> np.ndarray:

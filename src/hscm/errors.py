@@ -9,10 +9,6 @@ class DomainError(HscmError, ValueError):
     """An argument is outside the mathematical domain of an operation."""
 
 
-class QuadratureError(HscmError, RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class ConvergenceError(HscmError, RuntimeError):
     """An iterative solver did not converge within its iteration budget."""
 

@@ -11,9 +11,9 @@ from scipy.special import xlogy
 
 from .errors import DomainError
 from .params import EnsembleParams
-from .quadrature import gauss_legendre_nodes, quad_checked
+from .quadrature import gauss_legendre_nodes
 
-_KAPPA_NODES = 64  # Gauss-Legendre nodes per piece of expected_degree_fn
+_PIECE_NODES = 64  # Gauss-Legendre nodes per piece of _turn_pieces
 
 
 def _logistic_neg(s):
@@ -52,51 +52,52 @@ def bernoulli_entropy_logit(s):
     return out if out.ndim else float(out)
 
 
+def _turn_pieces(c):
+    """Gauss-Legendre nodes and weights of [0, min(c, 40)], [min(c, 40), c], [c, c + 40].
+
+    c is where an integrand against an exponential-type density turns; it is
+    clipped to [0, 745], past which exp(-c) underflows.  Each piece comes
+    with 64 nodes, one at a time, so the caller's temporaries stay small.
+    """
+    c = np.clip(c, 0.0, 745.0)
+    ends = (np.zeros_like(c), np.minimum(c, 40.0), c, c + 40.0)
+    for a, b in zip(ends, ends[1:]):
+        yield gauss_legendre_nodes(a, b, _PIECE_NODES)
+
+
 def expected_degree_fn(p: EnsembleParams, x):
     """Expected degree of a node at exponential coordinate x (scalar or array).
 
     kappa_n(x) = (n - 1) * integral of W(x, y) d mu_n(y).  With L = x + r_n
     and s = gamma (r_n - y) ~ Exp(1), kappa_n(x) = (n - 1) E[W(L - s / gamma)].
-    The kernel turns at s = c = clip(gamma L, 0, 745), so the integral is
-    three 64-node Gauss-Legendre pieces, [0, min(c, 40)], [min(c, 40), c]
-    and [c, c + 40]; the tail past c + 40 is below exp(-40) of the value.
+    The kernel turns at s = c = gamma L, so the integral is the three pieces
+    of _turn_pieces; the tail past c + 40 is below exp(-40) of the value.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x - p.r_n > 1e-12 * max(1.0, abs(p.r_n))):
         raise DomainError(f"coordinate {np.max(x)} above the support end {p.r_n}")
     big_l = (x + p.r_n)[..., None]
-    c = np.clip(p.gamma * big_l, 0.0, 745.0)
-    ends = (np.zeros_like(c), np.minimum(c, 40.0), c, c + 40.0)
     f = 0.0
-    for a, b in zip(ends, ends[1:]):  # one piece at a time keeps the temporaries small
-        s, w = gauss_legendre_nodes(a, b, _KAPPA_NODES)
+    for s, w in _turn_pieces(p.gamma * big_l):
         f = f + (np.exp(-s) * _logistic_neg(big_l - s / p.gamma) * w).sum(axis=-1)
     out = (p.n - 1) * f
     return out if out.ndim else float(out)
 
 
-def expectation_of_sum(p: EnsembleParams, f_of_sum, rtol: float) -> float:
+def expectation_of_sum(p: EnsembleParams, f_of_sum) -> float:
     """E[f(X + Y)] with X, Y independent draws from the latent measure.
 
     r_n - X is Exp(gamma), so u = gamma (2 r_n - (X + Y)) has the Gamma(2, 1)
     density u exp(-u) and the double integral is exactly the 1D integral of
     f(2 r_n - u / gamma) against it.  f maps an array of sums s = x + y to an
-    array of values.
+    array of values; the kernel turns at s = 0, i.e. u = 2 gamma r_n, so the
+    integral is the three pieces of _turn_pieces.
     """
     gamma, r2 = p.gamma, 2.0 * p.r_n
-
-    def integrand(u):
-        return f_of_sum(r2 - u / gamma) * u * np.exp(-u)
-
-    # Kernel transition sits at s = 0, i.e. u = gamma 2 r_n; integrate the two
-    # ranges separately.  Past u = 700 the density is below exp(-700), so a
-    # farther transition is left to the tail and the head stays where the
-    # mass is.
-    u0 = min(gamma * r2, 700.0)
-    head = quad_checked(integrand, 0.0, u0, rtol=rtol) if u0 > 0 else 0.0
-    return head + quad_checked(integrand, max(u0, 0.0), np.inf, rtol=rtol)
+    return float(sum((f_of_sum(r2 - u / gamma) * u * np.exp(-u) * w).sum()
+                     for u, w in _turn_pieces(gamma * r2)))
 
 
 def mean_kernel_value(p: EnsembleParams) -> float:
     """E[W(X, Y)] with X, Y independent draws from the latent measure."""
-    return expectation_of_sum(p, lambda s: w_fermi_dirac(s, 0.0), 1e-11)
+    return expectation_of_sum(p, lambda s: w_fermi_dirac(s, 0.0))

@@ -9,6 +9,7 @@ so the library works in x alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ class EnsembleParams:
 
     Attributes:
         gamma: power-law shape, > 1 (degree tail exponent is gamma + 1).
-        nu: target expected average degree, > 0.
+        nu: target expected average degree, > 0, with beta^2 nu a normal float.
         n: graph size, >= 1.
     """
 
@@ -37,6 +38,10 @@ class EnsembleParams:
             raise DomainError(f"nu must be finite and > 0, got {self.nu}")
         if self.n < 1 or self.n != int(self.n):
             raise DomainError(f"n must be a positive integer, got {self.n}")
+        beta_sq_nu = self.beta * self.beta * self.nu  # as r_n divides by it
+        if beta_sq_nu < sys.float_info.min:
+            raise DomainError(f"beta^2 nu must be a normal float (>= {sys.float_info.min!r}), "
+                              f"got {beta_sq_nu!r} for gamma={self.gamma!r}, nu={self.nu!r}")
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "nu", float(self.nu))
         object.__setattr__(self, "n", int(self.n))

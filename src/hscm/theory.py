@@ -24,11 +24,13 @@ from scipy.special import gammaln
 from .errors import DomainError
 from .graphon import mean_kernel_value
 from .params import EnsembleParams
-from .quadrature import quad_checked
+from .quadrature import gauss_legendre_nodes
+
+_SEED_NODES = 128  # Gauss-Legendre nodes per piece of _upper_gamma_quad
 
 
 def _upper_gamma_quad(a: float, x: float) -> float:
-    """x^(1-a) e^x Gamma(a, x) for a <= 1 by adaptive quadrature.
+    """x^(1-a) e^x Gamma(a, x) for a <= 1 by Gauss-Legendre pieces.
 
     The substitution t = x e^u turns int_x^inf (t/x)^(a-1) exp(x - t) dt into
     x int_0^inf exp(a u - x expm1(u)) du, whose integrand has no peak that
@@ -36,20 +38,24 @@ def _upper_gamma_quad(a: float, x: float) -> float:
     lies in (0, 1] whatever the size of x, where Gamma(a, x) itself
     underflows once x passes ~745.  The integrand decays on a scale of about
     1/(x - a), so u = w/c with c = max(1, x - a) puts that scale near 1
-    whatever x and a are.  The integral in w is split at max(1, log1p(1/x)),
-    past which x expm1(u) dominates; expm1's argument is capped at 700, where
-    the integrand has long underflowed to 0.
+    whatever x and a are.  Past split = max(1, log1p(1/x)) in w, x expm1(u)
+    dominates and the integrand falls below exp(-40) of its peak within 40,
+    so the integral is [0, split], cut into pieces at most 40 long, and
+    [split, split + 40], with 128 nodes per piece.  When a > x the exponent
+    peaks at u = log(a/x), where it is a log(a/x) - a + x; it is taken
+    relative to that peak, and x expm1(u) is exp(u + log x) - x for u > 1,
+    so neither overflows for x down to the smallest normal float.
     """
     c = max(1.0, x - a)
-
-    def integrand(w):
-        u = w / c
-        return np.exp(a * u - x * np.expm1(np.minimum(u, 700.0)))
-
+    log_x = math.log(x)
+    peak = a * math.log(a / x) - a + x if a > x else 0.0
     split = max(1.0, math.log1p(1.0 / x))
-    head = quad_checked(integrand, 0.0, split, rtol=1e-13)
-    tail = quad_checked(integrand, split, np.inf, rtol=1e-13)
-    return x / c * (head + tail)
+    ends = np.append(np.linspace(0.0, split, math.ceil(split / 40.0) + 1), split + 40.0)
+    w, weights = gauss_legendre_nodes(ends[:-1, None], ends[1:, None], _SEED_NODES)
+    u = w / c
+    x_expm1 = np.where(u > 1.0, np.exp(u + log_x) - x, x * np.expm1(np.minimum(u, 1.0)))
+    total = (np.exp(a * u - x_expm1 - peak) * weights).sum()
+    return math.exp(peak + log_x - math.log(c)) * float(total)
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,7 @@ class DegreeLaw:
         ks = np.arange(k_max + 1)
         pois = np.exp(ks * math.log(x) - x - gammaln(ks + 1.0)).tolist()
         out = np.empty(k_max + 1)
-        out[seed] = pk = gamma * pois[seed] * q / x
+        out[seed] = pk = gamma * pois[seed] / x * q  # pois * q underflows at tiny x
         for k in range(seed - 1, -1, -1):
             pk = (gamma * pois[k] - (k + 1) * pk) / (gamma - k)
             out[k] = pk

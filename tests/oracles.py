@@ -87,9 +87,9 @@ def classical_entropy_of_sum(s):
     return out if out.ndim else float(out)
 
 
-def mean_classical_kernel(p, rtol=1e-11):
+def mean_classical_kernel(p):
     """E[min(exp(-(X + Y)), 1)] over the latent product measure."""
-    return expectation_of_sum(p, lambda s: w_classical(s, 0.0), rtol)
+    return expectation_of_sum(p, lambda s: w_classical(s, 0.0))
 
 
 def omega_n(p):
@@ -481,21 +481,29 @@ def gauss_legendre_mpmath(order, dps=30):
             np.array(ws + ws[:half][::-1]))
 
 
-def sigma_mpmath(p, dps=40):
-    """Graphon entropy at `dps` digits: mpmath quadrature of the Gamma(2) form."""
+def w_mpmath(s):
+    """W(s) = 1 / (exp(s) + 1) at the working mpmath precision."""
+    return 1 / (mp.exp(s) + 1)
+
+
+def h_mpmath(s):
+    """H(W(s)) = log1p(exp(-|s|)) + |s| W(|s|) at the working mpmath precision."""
+    a = abs(s)
+    t = mp.exp(-a)
+    return mp.log1p(t) + a * t / (1 + t)
+
+
+def expectation_of_sum_mpmath(p, f_of_sum, dps=40):
+    """E[f(X + Y)] at `dps` digits: one mpmath integral of f(2 r_n - u / gamma) u e^-u.
+
+    f_of_sum maps an mpf sum s = x + y to an mpf.  The range u >= 0 is split
+    where the kernel turns, s = 0 or u = 2 gamma r_n, when that is positive.
+    """
     with mp.workdps(dps):
         gamma, r2 = mp.mpf(p.gamma), 2 * mp.mpf(p.r_n)
-
-        def h(s):
-            a = abs(s)
-            t = mp.exp(-a)
-            return mp.log1p(t) + a * t / (1 + t)
-
-        def f(t):
-            return h(r2 - t) * gamma**2 * t * mp.exp(-gamma * t)
-
-        cuts = [c for c in (r2 / 2, r2 - 8, r2 - 2, r2, r2 + 2, r2 + 8) if c > 0]
-        return mp.quad(f, [0] + sorted(cuts) + [mp.inf])
+        turn = gamma * r2
+        return mp.quad(lambda u: f_of_sum(r2 - u / gamma) * u * mp.exp(-u),
+                       [0, turn, mp.inf] if turn > 0 else [0, mp.inf])
 
 
 def kappa_mpmath(p, x, dps=40):

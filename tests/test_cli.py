@@ -490,10 +490,10 @@ class TestScmIngestAndErrors:
 
     def test_numerical_error_exit_3(self, tmp_path, monkeypatch):
         import hscm.cli as cli_mod
-        from hscm.errors import QuadratureError
+        from hscm.errors import ConvergenceError
 
         def boom(p):
-            raise QuadratureError("synthetic failure")
+            raise ConvergenceError("synthetic failure")
 
         monkeypatch.setattr(cli_mod, "gibbs_entropy_bounds", boom)
         assert cli_mod.main(["entropy", "--gamma", "2", "--nu", "10",
@@ -562,13 +562,11 @@ def _empty_histogram(tmp_path, monkeypatch, capsys):
     return "DomainError", str(exc.value)
 
 
-def _quadrature_nan_on_half_line(tmp_path, monkeypatch, capsys):
-    from hscm.errors import QuadratureError
-    from hscm.quadrature import quad_checked
-
-    with pytest.raises(QuadratureError) as exc:
-        quad_checked(lambda t: np.where(abs(t - 2.0) < 0.05, np.nan, np.exp(-t)), 0.0, np.inf)
-    return "QuadratureError", str(exc.value)
+def _tiny_nu(command, nu):
+    def case(tmp_path, monkeypatch, capsys):
+        return _cli_outcome(capsys, command, "--gamma", 2, "--nu", nu, "--n", 10,
+                            *(("--seed", 1) if command == "generate" else ()), "--out", tmp_path)
+    return case
 
 
 # error branches that no other test reaches
@@ -590,12 +588,16 @@ def _quadrature_nan_on_half_line(tmp_path, monkeypatch, capsys):
     (_memory_error_in_command, 2,
      "configuration error: not enough memory for n=100, k_max=100, t_points=200: synthetic"),
     (_empty_histogram, "DomainError", "no graphs given"),
-    (_quadrature_nan_on_half_line, "QuadratureError",
-     "quadrature on [0.0, inf]: non-finite integrand on [1, 3]"),
+    # beta^2 nu of 0 divided by zero in r_n, and a subnormal one failed the
+    # pmf's seed quadrature
+    (_tiny_nu("theory", 5e-324), 2, "configuration error: beta^2 nu must be a normal float "
+     "(>= 2.2250738585072014e-308), got 0.0 for gamma=2.0, nu=5e-324"),
+    (_tiny_nu("generate", 5e-324), 2, "got 0.0 for gamma=2.0, nu=5e-324"),
+    (_tiny_nu("theory", 1e-310), 2, "got 2.5e-311 for gamma=2.0, nu=1e-310"),
 ], ids=["ingest-comments-only", "degrees-in-no-header", "degrees-in-no-edges-files",
         "degrees-in-wrong-n", "ingest-tail-fit-error", "entropy-sizes-not-integers",
         "scm-solve-gamma-only", "k-max-not-integer", "memory-error", "empty-histogram",
-        "quadrature-non-finite-on-half-line"])
+        "theory-nu-underflows", "generate-nu-underflows", "theory-nu-subnormal"])
 def test_error_branch(case, outcome, message, tmp_path, monkeypatch, capsys):
     got, text = case(tmp_path, monkeypatch, capsys)
     assert got == outcome

@@ -10,12 +10,13 @@ from oracles import (
     bracket_bounds,
     classical_entropy_of_sum,
     deviation_log_slope,
+    expectation_of_sum_mpmath,
+    h_mpmath,
     negative_region_entropy,
     nested_expectation,
     quantile,
     refine_doubled,
     rescaled_entropy_series,
-    sigma_mpmath,
     sigma_oracle,
     verify_graphon_maximality,
 )
@@ -54,9 +55,10 @@ class TestGraphonEntropy:
     @pytest.mark.parametrize("gamma,nu", [(1.05, 4.0), (1.1, 4.92), (1.5, 4.0)])
     def test_matches_mpmath_at_large_n(self, gamma, nu):
         # n = 1e9 is where nested double-precision quadrature drifts (~1e-5
-        # relative); the 1D route must still meet its rtol of 1e-7
+        # relative); the 1D route must not
         p = derive_params(gamma, nu, 10**9)
-        assert graphon_entropy(p) == pytest.approx(float(sigma_mpmath(p)), rel=1e-7)
+        ref = float(expectation_of_sum_mpmath(p, h_mpmath))
+        assert graphon_entropy(p) == pytest.approx(ref, rel=1e-7)
 
     def test_frozen_reference_value(self):
         p = derive_params(2.0, 10.0, 10**6)
@@ -71,7 +73,7 @@ class TestGraphonEntropy:
 
     def test_classical_kernel_entropy(self):
         for p in (G2[0], G2[2]):
-            got = expectation_of_sum(p, classical_entropy_of_sum, 1e-7)
+            got = expectation_of_sum(p, classical_entropy_of_sum)
             assert got == pytest.approx(sigma_oracle(p, "classical"), rel=1e-7)
 
     def test_kernel_gap_shrinks_at_prop_rate(self):
@@ -83,7 +85,7 @@ class TestGraphonEntropy:
         rates = []
         for p in G2:
             gaps.append(abs(graphon_entropy(p) -
-                            expectation_of_sum(p, classical_entropy_of_sum, 1e-7)))
+                            expectation_of_sum(p, classical_entropy_of_sum)))
             rates.append(math.log(p.n) ** 3 / p.n**2)
         const = 2.5 * gaps[0] / rates[0]
         for gap, rate in zip(gaps, rates):

@@ -8,12 +8,15 @@ from scipy import integrate
 
 from oracles import (
     classical_entropy_of_sum,
+    expectation_of_sum_mpmath,
     expected_degree_classical,
+    h_mpmath,
     kappa_mpmath,
     mean_classical_kernel,
     mu_n_density,
     omega_n,
     w_classical,
+    w_mpmath,
     w_pareto,
     w_unit_interval,
 )
@@ -233,6 +236,22 @@ class TestClassicalApproximationRate:
         for n in (10**3, 10**5):
             p = derive_params(2.0, 10.0, n)
             assert mean_kernel_value(p) < mean_classical_kernel(p)
+
+
+# three fixed 64-node pieces split at the kernel's turn; the adaptive rule
+# they replaced was 6.2e-13 off for H(W) at (1.1, 10, 1e6)
+@pytest.mark.parametrize("gamma,nu,n", [(1 + 1e-9, 1e-6, 10**9), (1 + 1e-9, 4.92, 1000),
+                                        (1.0001, 10.0, 10**6), (1.1, 10.0, 10**6),
+                                        (2.0, 10.0, 1000), (2.0, 300.0, 2),
+                                        (2 + 1e-12, 4.92, 2), (3.5, 1e-6, 10**9),
+                                        (10.0, 10.0, 10**6), (61.0, 300.0, 1000),
+                                        (1e3, 4.92, 10**9), (1e5, 10.0, 10**6)])
+def test_means_of_sums_match_mpmath(gamma, nu, n):
+    p = derive_params(gamma, nu, n)
+    assert mean_kernel_value(p) == pytest.approx(float(expectation_of_sum_mpmath(p, w_mpmath)),
+                                                 rel=1e-13, abs=0.0)
+    assert graphon_entropy(p) == pytest.approx(float(expectation_of_sum_mpmath(p, h_mpmath)),
+                                               rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("nu,n", [(1.0, 10), (10.0, 10**6)])

@@ -10,15 +10,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PROBE = """
 import sys
 
-import numpy as np
-
 import hscm.cli
-from hscm.quadrature import gauss_legendre_nodes, quad_checked
+from hscm import DegreeLaw, derive_params, gibbs_entropy_bounds
 from hscm.scm import solve_scm
 
-quad_checked(np.exp, 0.0, 1.0)
-quad_checked(lambda t: np.exp(-t), 0.0, np.inf)
-gauss_legendre_nodes(0.0, 1.0, 512)
+p = derive_params(2.0, 10.0, 1000)
+gibbs_entropy_bounds(p)
+DegreeLaw(p).pmf_array(100)
 solve_scm([1.0, 1.5, 2.0, 2.0, 2.5, 3.0])
 print(" ".join(m for m in ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
                if m in sys.modules))

@@ -103,18 +103,21 @@ class TestDegreePmf:
         assert law.pmf_array(5) == pytest.approx(pmf[:6], rel=1e-11, abs=1e-280)
 
     # pmf(0) at gamma = 200, x = beta*nu ~ 1e-7 used to come out as 0,
-    # pmf(3) at gamma = 50, nu = 1e-3 raised QuadratureError, and at
-    # gamma = 82.68, nu = 0.0037 the upward recurrence turned the underflowed
-    # pmf(83) into -5e-324
+    # pmf(3) at gamma = 50, nu = 1e-3 missed the seed's quadrature tolerance,
+    # at gamma = 82.68, nu = 0.0037 the upward recurrence turned the
+    # underflowed pmf(83) into -5e-324, and at the last two the adaptive seed
+    # missed its tolerance at the peak of its integrand
     @pytest.mark.parametrize("gamma,nu,k_max", [(200.0, 1e-7, 0), (50.0, 1e-3, 3),
-                                                (82.68, 0.0037, 100)])
+                                                (82.68, 0.0037, 100), (1.5, 1e-250, 10),
+                                                (1.0000001, 1e-290, 10)])
     def test_tiny_pareto_scale_matches_mpmath(self, gamma, nu, k_max):
         law = DegreeLaw(derive_params(gamma, nu, 1000))
         pmf = law.pmf_array(k_max)
         assert np.all(np.isfinite(pmf))
         assert np.all(pmf >= 0.0)
         for k in range(k_max + 1):
-            assert pmf[k] == pytest.approx(float(pmf_mpmath(mixing(law), k)), rel=1e-11)
+            ref = float(pmf_mpmath(mixing(law), k))
+            assert pmf[k] == pytest.approx(ref, rel=1e-11, abs=1e-300)
 
     # x = beta nu below gamma - floor(gamma), so the first step up from
     # floor(gamma - x) would cross k = gamma and scale the seed's rounding by
@@ -131,8 +134,9 @@ class TestDegreePmf:
             if ref > 1e-290:
                 assert pmf[k] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("a", [-199.5, -50.5, -1.5, -1e-9])
-    @pytest.mark.parametrize("x", [1e-12, 1e-5, 1.0, 1e3, 1e5, 1e6, 1e7])
+    # positive a is the seed when gamma sits just above an integer
+    @pytest.mark.parametrize("a", [-199.5, -50.5, -1.5, -1e-9, 0.3, 0.9, 1 - 1e-9])
+    @pytest.mark.parametrize("x", [1e-300, 1e-200, 1e-12, 1e-5, 1.0, 1e3, 1e5, 1e6, 1e7])
     def test_seed_quadrature_matches_mpmath(self, a, x):
         with mp.workdps(40):
             ref = mp.power(x, 1 - a) * mp.exp(x) * mp.gammainc(a, x)
