@@ -2,7 +2,17 @@
 
 Samplers (equilibrium and growing), closed-form degree theory, and
 graphon/Gibbs entropy numerics for the hypersoft configuration model.
+
+Every BLAS call here is vector-sized, so unless the caller has chosen
+otherwise (or numpy is loaded already) OpenBLAS gets one thread: a second
+one only busy-waits, ~0.1 s of CPU in a short command.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .entropy import (
     EntropyReport,

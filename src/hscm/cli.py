@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     except (DomainError, SizeGuardError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, InsufficientTailError) as exc:
+    except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, ParseError) as exc:

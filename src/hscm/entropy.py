@@ -21,10 +21,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DomainError
-from .graphon import _logistic_neg, bernoulli_entropy, bernoulli_entropy_logit, expectation_of_sum
+from .graphon import (
+    _logistic_neg, bernoulli_entropy, bernoulli_entropy_logit, expectation_of_sum, xlogy,
+)
 from .params import EnsembleParams
 from .quadrature import gauss_legendre_nodes
 

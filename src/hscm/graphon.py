@@ -7,7 +7,6 @@ and maximizes graphon entropy under the expected-degree constraints.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DomainError
 from .params import EnsembleParams
@@ -28,6 +27,13 @@ def w_fermi_dirac(x, y):
     """Fermi-Dirac kernel 1 / (exp(x + y) + 1); symmetric, strictly in (0, 1)."""
     out = _logistic_neg(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
     return out if out.ndim else float(out)
+
+
+def xlogy(x, y):
+    """x * log(y), with 0 where x == 0 and -inf where y == 0 < x, without a warning."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        return x * np.log(np.where(x == 0.0, 1.0, y))
 
 
 def bernoulli_entropy(pr):

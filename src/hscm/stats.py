@@ -6,15 +6,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, xlogy, zeta
 
 from .errors import DomainError, EdgeListParseError, InsufficientTailError
-from .graphon import expected_degree_fn
+from .graphon import expected_degree_fn, xlogy
 from .params import EnsembleParams
 from .quadrature import gauss_legendre_nodes
 from .io import parse_edge_list
 from .sampler import Graph, edge_keys, edges_from_keys
-from .theory import DegreeLaw, expected_avg_degree_finite_n
+from .theory import DegreeLaw, expected_avg_degree_finite_n, log_factorials
 
 
 @dataclass
@@ -96,7 +95,7 @@ def finite_n_degree_pmf(p: EnsembleParams, k_max: int) -> np.ndarray:
     kappa = expected_degree_fn(p, p.r_n + 4.0 * np.log(v) / p.gamma)
     ks = np.arange(k_max + 1, dtype=float)
     # xlogy keeps k * log(kappa) at 0 for k = 0 when kappa = 0 (n = 1)
-    log_pois = xlogy(ks[:, None], kappa) - kappa - gammaln(ks + 1.0)[:, None]
+    log_pois = xlogy(ks[:, None], kappa) - kappa - log_factorials(k_max)[:, None]
     return (np.exp(log_pois) * w).sum(axis=-1)  # pairwise sums, so sum(w) is exactly 1
 
 
@@ -148,6 +147,63 @@ class TailFit:
     n_tail: int
 
 
+# Euler-Maclaurin summation of the Hurwitz zeta, as in Cephes zeta.c (Moshier,
+# Methods and Programs for Mathematical Functions, 1989): ten direct terms,
+# then the integral, the half term and twelve Bernoulli terms of the rest.
+_ZETA_DIRECT = np.arange(10.0)
+_ZETA_POWERS = np.arange(24.0)
+_BERNOULLI = [(1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+              (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+              (-236364091, 2730)]  # B_2, B_4, ..., B_24 as (numerator, denominator)
+
+
+def _bernoulli_terms() -> np.ndarray:
+    """Row i: B_(2i+2) / (2i+2)! times the coefficients of s (s + 1) ... (s + 2i) in s^0..s^23.
+
+    The rising factorials are expanded in exact integers, so each entry is
+    one rounding from its true value.
+    """
+    rows, rising = [], [1]
+    for k in range(23):  # multiply the polynomial by s + k
+        rising = [k * a + b for a, b in zip(rising + [0], [0] + rising)]
+        if k % 2 == 0:
+            num, den = _BERNOULLI[k // 2]
+            rows.append([num * c / (den * math.factorial(k + 2)) for c in rising]
+                        + [0.0] * (22 - k))
+    return np.array(rows)
+
+
+_ZETA_TERMS = _bernoulli_terms()
+
+
+def _hurwitz_zeta(q):
+    """s -> zeta(s, q) = sum over j >= 0 of (q + j)^-s, for q >= 1.
+
+    What depends on q alone is built once, so a bisection in s reuses it:
+    the direct terms' bases and the Bernoulli terms as one polynomial in s.
+    The rising factorials' coefficients are all positive, so for s > 0 the
+    polynomial rounds no worse than the sum of the terms' sizes.  The
+    returned function broadcasts s against q.  Like scipy.special.zeta it
+    gives nan for s < 1 and inf at s = 1, without a warning.
+    """
+    grid = np.asarray(q, dtype=float)[..., None] + _ZETA_DIRECT
+    w = grid[..., -1]
+    poly = (w[..., None] ** -(2.0 * np.arange(12.0) + 1.0)) @ _ZETA_TERMS
+
+    def zeta(s):
+        s = np.asarray(s, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            direct = grid ** -s[..., None]
+            # s^m as exp(m log s) is ~1e-14 off, but the Bernoulli terms add
+            # up to less than 1e-3 of zeta for s >= 1, q >= 1
+            bernoulli = np.einsum("...m,...m->...", np.exp(np.log(s)[..., None] * _ZETA_POWERS),
+                                  poly)
+            z = direct.sum(axis=-1) + direct[..., -1] * (w / (s - 1.0) - 0.5 + bernoulli)
+        return np.where(s > 1.0, z, np.where(s == 1.0, np.inf, np.nan))
+
+    return zeta
+
+
 _MIN_TAIL_SAMPLES = 100
 _ALPHA_LO, _ALPHA_HI = 1.000001, 40.0
 # Degenerate-fit rejection: real degree tails fit with small KS distance and
@@ -156,6 +212,11 @@ _ALPHA_LO, _ALPHA_HI = 1.000001, 40.0
 _KS_REJECT = 0.1
 _ALPHA_REJECT = 10.0
 _H = 1e-5  # step of the central difference of log zeta in alpha
+
+
+def _distinct(sorted_values: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array (np.unique would import numpy.ma)."""
+    return sorted_values[np.append(True, sorted_values[1:] != sorted_values[:-1])]
 
 
 def tail_exponent_fit(h: DegreeHistogram) -> TailFit:
@@ -177,7 +238,7 @@ def tail_exponent_fit(h: DegreeHistogram) -> TailFit:
     cut = np.arange(d.size - 1)  # the last present degree is never a cutoff
     if cut.size > 64:  # thin the scan, keeping the log profile
         keep = np.geomspace(d[0], d[-2], 64)
-        cut = np.unique(np.searchsorted(d[:-1], keep, side="left").clip(0, d.size - 2))
+        cut = _distinct(np.searchsorted(d[:-1], keep, side="left").clip(0, d.size - 2))
     cut = cut[n_tail[cut] >= _MIN_TAIL_SAMPLES]
     if cut.size == 0:
         raise InsufficientTailError(
@@ -185,8 +246,11 @@ def tail_exponent_fit(h: DegreeHistogram) -> TailFit:
     k_min, n_cut = d[cut].astype(float), n_tail[cut]
     mean_log = log_sum[cut] / n_cut
 
+    zeta_k_min = _hurwitz_zeta(k_min)
+
     def excess(a):  # -d/da log zeta(a, k_min) - mean_log, by a central difference
-        return (np.log(zeta(a - _H, k_min)) - np.log(zeta(a + _H, k_min))) / (2 * _H) - mean_log
+        lower, upper = np.log(zeta_k_min(np.stack([a - _H, a + _H])))
+        return (lower - upper) / (2 * _H) - mean_log
 
     # bisect the likelihood equation; a mean log below the model's infimum gives _ALPHA_HI
     lo, hi = np.full(cut.size, _ALPHA_LO), np.full(cut.size, _ALPHA_HI)
@@ -199,10 +263,12 @@ def tail_exponent_fit(h: DegreeHistogram) -> TailFit:
 
     # The empirical CDF is flat between present degrees while the model's
     # rises, so the KS distance peaks at a present degree or just before the next.
-    k = np.union1d(d, d[1:] - 1)
+    k = np.empty(2 * d.size - 1, dtype=d.dtype)
+    k[0::2], k[1::2] = d, d[1:] - 1  # d[i] <= d[i + 1] - 1 < d[i + 1], so k is sorted
+    k = _distinct(k)
     above = np.append(n_tail, 0)[np.searchsorted(d, k, side="right")]
     emp = (n_cut[:, None] - above) / n_cut[:, None]
-    model = 1.0 - zeta(alpha[:, None], k + 1.0) / zeta(alpha, k_min)[:, None]
+    model = 1.0 - _hurwitz_zeta(k + 1.0)(alpha[:, None]) / zeta_k_min(alpha)[:, None]
     ks = np.where(k >= k_min[:, None], np.abs(model - emp), 0.0).max(axis=1)
     j = int(np.argmin(ks))
     best = TailFit(alpha=float(alpha[j]), k_min=int(k_min[j]), ks_distance=float(ks[j]),

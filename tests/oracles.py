@@ -30,7 +30,8 @@ sampler.sample_replica seeds a replica.
 tail_exponent_fit_loop is stats.tail_exponent_fit as it stood before the fit
 worked on the distinct degrees present: one cutoff at a time, each bisected
 in a scalar loop, with the model CDF at every integer from k_min to the
-largest degree.
+largest degree.  It takes the Hurwitz zeta as an argument: the library's, to
+check the vectorisation to rounding, or scipy's, to check the whole fit.
 
 skip_rows_reference is the skip engine as sampler._run_skip_rows stood
 before it hashed each row's stream prefix once and cut long rows into
@@ -64,7 +65,7 @@ from hscm.params import derive_params, mu_n_quantile
 from hscm.quadrature import gauss_legendre_nodes
 from hscm.sampler import Graph, sample_coordinates
 from hscm.stats import (
-    _ALPHA_HI, _ALPHA_LO, _ALPHA_REJECT, _KS_REJECT, _MIN_TAIL_SAMPLES, TailFit,
+    _ALPHA_HI, _ALPHA_LO, _ALPHA_REJECT, _KS_REJECT, _MIN_TAIL_SAMPLES, TailFit, _hurwitz_zeta,
 )
 
 
@@ -667,17 +668,22 @@ def truncation_k(law, tol, moment=0):
 
 # -- the per-cutoff loop of the tail fit --
 
-def _zeta_log_deriv(alpha, k_min):
+def library_zeta(s, q):
+    """zeta(s, q) by stats._hurwitz_zeta, with scipy.special.zeta's signature."""
+    return _hurwitz_zeta(q)(s)
+
+
+def _zeta_log_deriv(alpha, k_min, zeta):
     h = 1e-5
-    return (math.log(special.zeta(alpha + h, k_min))
-            - math.log(special.zeta(alpha - h, k_min))) / (2 * h)
+    return (math.log(zeta(alpha + h, k_min))
+            - math.log(zeta(alpha - h, k_min))) / (2 * h)
 
 
-def _mle_alpha(mean_log, k_min):
+def _mle_alpha(mean_log, k_min, zeta):
     """Solve -zeta'(a, k_min)/zeta(a, k_min) = mean_log by bisection."""
 
     def g(a):
-        return -_zeta_log_deriv(a, k_min) - mean_log
+        return -_zeta_log_deriv(a, k_min, zeta) - mean_log
 
     lo, hi = _ALPHA_LO, _ALPHA_HI
     if g(hi) > 0.0:  # sample mean-log below the model's infimum
@@ -691,8 +697,11 @@ def _mle_alpha(mean_log, k_min):
     return 0.5 * (lo + hi)
 
 
-def tail_exponent_fit_loop(h):
-    """stats.tail_exponent_fit, fitting and scoring one cutoff at a time."""
+def tail_exponent_fit_loop(h, zeta=library_zeta):
+    """stats.tail_exponent_fit, fitting and scoring one cutoff at a time.
+
+    zeta(s, q) is the Hurwitz zeta, scalar in s and broadcast over q.
+    """
     counts = h.counts.astype(np.int64)
     ks = np.arange(counts.size)
     present = ks[(counts > 0) & (ks >= 1)]
@@ -713,9 +722,9 @@ def tail_exponent_fit_loop(h):
         if n_tail < _MIN_TAIL_SAMPLES or (c > 0).sum() < 2:
             continue
         mean_log = float(c @ np.log(kv)) / n_tail
-        alpha = _mle_alpha(mean_log, km)
-        z0 = special.zeta(alpha, km)
-        model_cdf = 1.0 - special.zeta(alpha, kv + 1.0) / z0
+        alpha = _mle_alpha(mean_log, km, zeta)
+        z0 = zeta(alpha, km)
+        model_cdf = 1.0 - zeta(alpha, kv + 1.0) / z0
         emp_cdf = np.cumsum(c) / n_tail
         ksd = float(np.max(np.abs(model_cdf - emp_cdf)))
         if best is None or ksd < best.ks_distance:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from oracles import (
     classical_entropy_of_sum,
@@ -24,6 +24,7 @@ from hscm import rng
 from hscm.entropy import graphon_entropy
 from hscm.errors import DomainError
 from hscm.graphon import (
+    xlogy,
     bernoulli_entropy,
     bernoulli_entropy_logit,
     expected_degree_fn,
@@ -89,6 +90,15 @@ class TestKernels:
         assert w_pareto(p, 50.0, 50.0) == pytest.approx(1.0 / 41.0, rel=1e-15)
         with pytest.raises(DomainError):
             w_pareto(p, 0.9 * lo, lo)
+
+
+def test_xlogy_matches_scipy_and_guards_zero():
+    x = np.array([0.0, 0.0, 0.0, 2.0, 1e-300, 3.5, 1.0])
+    y = np.array([0.0, 1.0, 7.0, 0.0, 1e-300, 0.25, 1.0])
+    got = xlogy(x, y)  # no divide-by-zero warning at y == 0 < x
+    assert np.array_equal(got[:3], [0.0, 0.0, 0.0])
+    assert got[3] == -np.inf
+    assert np.allclose(got, special.xlogy(x, y), rtol=2e-16, atol=0)
 
 
 class TestBernoulliEntropy:

@@ -1,7 +1,9 @@
+import functools
 import math
 import tracemalloc
 import weakref
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import zeta
@@ -16,6 +18,7 @@ from hscm.stats import (
     degree_histogram,
     finite_n_degree_pmf,
     ingest_edge_list,
+    _hurwitz_zeta,
     tail_exponent_fit,
     tv_distance_lumped,
 )
@@ -181,22 +184,30 @@ def _zeta_counts(alpha):
     return np.bincount(np.random.default_rng(1).choice(ks, p=pmf / pmf.sum(), size=200000))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: _hscm_counts(2.0, 10.0, 10**4, 10),
-    lambda: _hscm_counts(2.0, 10.0, 10**6, 1),
-    lambda: _hscm_counts(1.1, 4.92, 10**6, 1),  # 651 degrees present up to 62,583
-    lambda: _hscm_counts(3.5, 2.0, 10**5, 2),
-    lambda: _hscm_counts(2.0, 1.0, 10**3, 1),
-    lambda: _zeta_counts(2.2),
-    lambda: _zeta_counts(3.0),
-    lambda: _zeta_counts(4.5),
-    lambda: np.full(60, 500, dtype=np.int64),  # not power-law-like
-    lambda: np.array([50, 20, 9], dtype=np.int64),  # too few tail samples
-], ids=["g2-e4x10", "g2-e6", "g1.1-e6", "g3.5-e5x2", "g2-nu1-e3",
-        "zeta2.2", "zeta3", "zeta4.5", "flat", "tiny"])
-def test_tail_fit_matches_per_cutoff_loop(make):
-    counts = make()
-    h = DegreeHistogram(counts=counts, n=int(counts.sum()), n_graphs=1)
+_TAIL_CASES = {
+    "g2-e4x10": lambda: _hscm_counts(2.0, 10.0, 10**4, 10),
+    "g2-e6": lambda: _hscm_counts(2.0, 10.0, 10**6, 1),
+    "g1.1-e6": lambda: _hscm_counts(1.1, 4.92, 10**6, 1),  # 651 degrees present up to 62,583
+    "g3.5-e5x2": lambda: _hscm_counts(3.5, 2.0, 10**5, 2),
+    "g2-nu1-e3": lambda: _hscm_counts(2.0, 1.0, 10**3, 1),
+    "zeta2.2": lambda: _zeta_counts(2.2),
+    "zeta3": lambda: _zeta_counts(3.0),
+    "zeta4.5": lambda: _zeta_counts(4.5),
+    "flat": lambda: np.full(60, 500, dtype=np.int64),  # not power-law-like
+    "tiny": lambda: np.array([50, 20, 9], dtype=np.int64),  # too few tail samples
+}
+
+
+@functools.cache
+def _tail_histogram(case):
+    counts = _TAIL_CASES[case]()
+    return DegreeHistogram(counts=counts, n=int(counts.sum()), n_graphs=1)
+
+
+@pytest.mark.parametrize("case", list(_TAIL_CASES))
+def test_tail_fit_matches_per_cutoff_loop(case):
+    # the loop runs the library's zeta, so only the vectorisation differs
+    h = _tail_histogram(case)
     try:
         want = tail_exponent_fit_loop(h)
     except InsufficientTailError as exc:
@@ -208,6 +219,61 @@ def test_tail_fit_matches_per_cutoff_loop(make):
     assert (fit.k_min, fit.n_tail) == (want.k_min, want.n_tail)
     assert fit.alpha == pytest.approx(want.alpha, rel=1e-12, abs=0)
     assert fit.ks_distance == pytest.approx(want.ks_distance, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("case", [c for c in _TAIL_CASES if c not in ("flat", "tiny")])
+def test_tail_fit_matches_scipy_zeta_loop(case):
+    # Error budget: zeta is within eps = 2e-15 of scipy's (TestHurwitzZeta),
+    # so the central difference of log zeta moves by at most 2 eps / (2 h)
+    # = 2e-10.  alpha then moves by that over the slope of the likelihood
+    # equation, Var[log K] under the fitted law, which is 0.03 at the
+    # smallest here (zeta4.5, k_min 1): 7e-9.  The KS distance moves by
+    # |dF/dalpha| < 1 times that.  Seen: 5e-10 and 1.3e-11.
+    h = _tail_histogram(case)
+    want = tail_exponent_fit_loop(h, zeta)
+    fit = tail_exponent_fit(h)
+    assert (fit.k_min, fit.n_tail) == (want.k_min, want.n_tail)
+    assert fit.alpha == pytest.approx(want.alpha, rel=0, abs=1e-8)
+    assert fit.ks_distance == pytest.approx(want.ks_distance, rel=0, abs=1e-8)
+
+
+class TestHurwitzZeta:
+    @staticmethod
+    def _points(size, seed):
+        # s log-uniform in its distance above 1, q log-uniform; half the q integers
+        rng = np.random.default_rng(seed)
+        s = 1.0 + 10.0 ** rng.uniform(math.log10(1e-6), math.log10(39.0), size)
+        q = 10.0 ** rng.uniform(0.0, 7.0, size)
+        q[: size // 2] = np.floor(q[: size // 2])
+        return s, q
+
+    def test_matches_scipy(self):
+        s, q = self._points(20000, 1)
+        got = _hurwitz_zeta(q)(s)
+        assert np.abs(got / zeta(s, q) - 1.0).max() <= 2e-15
+
+    def test_matches_mpmath(self):
+        s, q = self._points(200, 2)
+        got = _hurwitz_zeta(q)(s)
+        worst = 0.0
+        for si, qi, zi in zip(s.tolist(), q.tolist(), got.tolist()):
+            # mpmath's error here is absolute, so carry digits to the value's size
+            with mp.workdps(30 + max(0, -math.floor(math.log10(zi)))):
+                worst = max(worst, abs(float(mp.mpf(zi) / mp.zeta(si, qi) - 1)))
+        assert worst <= 2e-15
+
+    def test_broadcasts_against_q(self):
+        s, q = np.array([[1.5], [2.0], [7.25]]), np.array([1.0, 3.0, 40.0, 1e4])
+        assert np.abs(_hurwitz_zeta(q)(s) / zeta(s, q) - 1.0).max() <= 2e-15
+
+    def test_nan_below_one_and_inf_at_one(self):
+        # the fit's central difference evaluates at alpha - 1e-5 < 1 near its
+        # lower bracket, where nan, as from scipy, steers the bisection up
+        s = np.array([-1.0, 0.0, 0.5, 0.99999, 1.0, 1.0 + 1e-12])
+        got = _hurwitz_zeta(np.array([1.0, 1.0, 2.0, 3.0, 1.0, 5.0]))(s)
+        assert np.isnan(got[:4]).all()
+        assert got[4] == np.inf
+        assert np.isfinite(got[5]) and got[5] > 1e11
 
 
 class TestCompareToTheory:

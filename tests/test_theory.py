@@ -24,6 +24,7 @@ from hscm.theory import (
     expected_avg_degree_finite_n,
     finite_size_degree_tail,
     finite_size_epsilon,
+    log_factorials,
 )
 
 
@@ -56,6 +57,14 @@ class TestParetoLaw:
     def test_invalid(self):
         with pytest.raises(DomainError):
             ParetoLaw(shape=1.0, scale=1.0)
+
+
+def test_log_factorials_match_scipy_gammaln():
+    from scipy.special import gammaln
+
+    got = log_factorials(10**6)
+    assert got[0] == got[1] == 0.0
+    assert np.abs(got[2:] / gammaln(np.arange(2, 10**6 + 1) + 1.0) - 1.0).max() <= 1e-15  # a few ulps of either
 
 
 class TestDegreePmf:
