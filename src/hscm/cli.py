@@ -143,9 +143,8 @@ def cmd_degrees(cfg) -> int:
     hio.write_json(os.path.join(cfg.out, "summary.json"), {
         "command": "degrees",
         "config": {"gamma": cfg.gamma, "nu": cfg.nu, "n": cfg.n,
-                   "replicas": cfg.replicas, "seed": cfg.seed,
-                   "sampler": cfg.sampler,
-                   "k_max": cfg.k_max, "input_dir": cfg.input_dir},
+                   "replicas": cfg.replicas, "seed": None if cfg.input_dir else cfg.seed,
+                   "sampler": cfg.sampler, "k_max": cfg.k_max, "input_dir": cfg.input_dir},
         "avg_degree_empirical": report.avg_degree_empirical,
         "avg_degree_empirical_se": report.avg_degree_empirical_se,
         "avg_degree_finite_n": report.avg_degree_finite_n,
@@ -191,7 +190,8 @@ def cmd_theory(cfg) -> int:
                   [(f"{t:.8e}", f"{v:.10e}") for t, v in zip(ts, tail)])
     hio.write_json(os.path.join(cfg.out, "summary.json"), {
         "command": "theory",
-        "config": {"gamma": cfg.gamma, "nu": cfg.nu, "n": cfg.n, "k_max": cfg.k_max},
+        "config": {"gamma": cfg.gamma, "nu": cfg.nu, "n": cfg.n, "k_max": cfg.k_max,
+                   "t_points": cfg.t_points},
         "expected_avg_degree_finite_n": expected_avg_degree_finite_n(p),
         "expected_avg_degree_asymptotic": p.nu,
         "r_n": p.r_n,
@@ -267,8 +267,8 @@ def _add_model_args(sp, need_n=True):
 
 def _add_sampling_args(sp):
     sp.add_argument("--replicas", type=_at_least(1), default=1)
-    sp.add_argument("--seed", type=int, required=True,
-                    help="master seed (replica seeds are derived from it)")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="master seed (replica seeds are derived from it); needed to sample")
     sp.add_argument("--sampler", choices=["fast", "growing"], default="fast",
                     help="growing is the projective chain, for gamma = 2 only")
     sp.add_argument("--jobs", type=_at_least(1), default=1, help="parallel replica workers")
@@ -330,10 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     cfg = ap.parse_args(argv)
-    if cfg.command == "scm-solve" and cfg.degrees_file is None:
-        missing = [k for k in ("gamma", "nu", "n", "seed") if getattr(cfg, k) is None]
-        if missing:
-            ap.error("scm-solve needs --degrees-file or all of --gamma/--nu/--n/--seed")
+    if cfg.command == "scm-solve" and cfg.degrees_file is None \
+            and None in (cfg.gamma, cfg.nu, cfg.n, cfg.seed):
+        ap.error("scm-solve needs --degrees-file or all of --gamma/--nu/--n/--seed")
+    if cfg.command in ("generate", "degrees") and cfg.seed is None \
+            and not getattr(cfg, "input_dir", None):
+        ap.error(f"{cfg.command} needs --seed to sample graphs")
     if cfg.command == "entropy":
         try:
             cfg.sizes = [int(tok) for tok in cfg.sizes.split(",") if tok]

@@ -26,7 +26,7 @@ from .errors import DomainError
 from .graphon import (
     _logistic_neg, bernoulli_entropy, bernoulli_entropy_logit, expectation_of_sum, xlogy,
 )
-from .params import EnsembleParams
+from .params import EnsembleParams, quantile_nodes
 from .quadrature import gauss_legendre_nodes
 
 _GL_ORDER = 16  # Gauss-Legendre nodes per interval in averaged_graphon
@@ -62,21 +62,20 @@ def averaged_graphon(p: EnsembleParams, m_n: int) -> np.ndarray:
     1..m_n - 1 the first interval against finite interval t, and the last
     2 m_n - 3 columns the finite x finite boxes (s, t) by s + t - 2.
 
-    Finite intervals use Gauss-Legendre nodes in x weighted by the latent
-    density, normalised in closed form; the unbounded first interval is
-    mapped through U = CDF(x) / CDF(rho[1]), under which the measure is
-    uniform on (0, 1].  No weight is divided by an interval mass, which
-    underflows to 0 at large gamma.  W depends on x + y only, and the finite
-    intervals are translates of one another whose normalized density weights
-    agree, so a finite x finite box depends on s + t alone.
+    The first interval takes params.quantile_nodes, a finite one
+    Gauss-Legendre nodes in z = gamma (rho[2] - x), of density exp(-z), on
+    [0, min(gamma * width, 30 / beta)]: W and H(W) grow at most like
+    exp(z / gamma), so at most exp(-30) of the integrand is dropped.  No
+    weight is divided by an interval mass, which underflows at large gamma.
+    W depends on x + y only, and the finite intervals are translates.
     """
     gamma = p.gamma
     rho = partition(p, m_n)
     width = rho[2] - rho[1]
-    un, w0 = gauss_legendre_nodes(0.0, 1.0, _GL_ORDER)
-    x0 = rho[1] + np.log(un) / gamma
-    x1, w1 = gauss_legendre_nodes(rho[1], rho[2], _GL_ORDER)
-    w1 = w1 * gamma * np.exp(gamma * (x1 - rho[2])) / -math.expm1(-gamma * width)
+    x0, w0 = quantile_nodes(rho[1], gamma, _GL_ORDER)
+    c = min(gamma * width, 30.0 / p.beta)
+    z, wz = gauss_legendre_nodes(0.0, c, _GL_ORDER)
+    x1, w1 = rho[2] - z / gamma, wz * np.exp(-z) / -math.expm1(-c)
     shifts = width * np.arange(2 * m_n - 3)  # finite box (s, t) at shift index s + t - 2
 
     def box_means(shift, x, weights):

@@ -39,8 +39,9 @@ def xlogy(x, y):
 def bernoulli_entropy(pr):
     """H(p) = -p log p - (1-p) log(1-p) in nats, with H(0) = H(1) = 0."""
     pr = np.asarray(pr, dtype=float)
-    if np.any(pr < 0.0) or np.any(pr > 1.0):
-        raise DomainError("Bernoulli probability must lie in [0, 1]")
+    bad = pr[(pr < 0.0) | (pr > 1.0)]
+    if bad.size:
+        raise DomainError(f"Bernoulli probability must lie in [0, 1], got {bad[0]}")
     out = -xlogy(pr, pr) - xlogy(1.0 - pr, 1.0 - pr)
     return out if out.ndim else float(out)
 
@@ -81,7 +82,7 @@ def expected_degree_fn(p: EnsembleParams, x):
     """
     x = np.asarray(x, dtype=float)
     if np.any(x - p.r_n > 1e-12 * max(1.0, abs(p.r_n))):
-        raise DomainError(f"coordinate {np.max(x)} above the support end {p.r_n}")
+        raise DomainError(f"coordinate {np.max(x)} above the support end {p.r_n} of {p}")
     big_l = (x + p.r_n)[..., None]
     f = 0.0
     for s, w in _turn_pieces(p.gamma * big_l):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .quadrature import gauss_legendre_nodes
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,17 @@ def derive_params(gamma: float, nu: float, n: int) -> EnsembleParams:
 def mu_n_quantile(p: EnsembleParams, u):
     """Inverse CDF: x = r_n + log(u) / gamma for u in (0, 1]."""
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr > 1.0):
-        raise DomainError("quantile argument must lie in (0, 1]")
+    bad = u_arr[(u_arr <= 0.0) | (u_arr > 1.0)]
+    if bad.size:
+        raise DomainError(f"quantile argument must lie in (0, 1], got {bad[0]} for {p}")
     out = p.r_n + np.log(u_arr) / p.gamma
     return out if out.ndim else float(out)
+
+
+def quantile_nodes(top: float, gamma: float, order: int):
+    """Nodes and weights (sum 1) of the latent measure on (-inf, top], by quantile u = v**4.
+
+    The node top + 4 log(v) / gamma never underflows; the weight 4 v**3 is smooth at 0.
+    """
+    v, wv = gauss_legendre_nodes(0.0, 1.0, order)
+    return top + 4.0 * np.log(v) / gamma, 4.0 * v**3 * wv

@@ -9,8 +9,7 @@ import numpy as np
 
 from .errors import DomainError, EdgeListParseError, InsufficientTailError
 from .graphon import expected_degree_fn, xlogy
-from .params import EnsembleParams
-from .quadrature import gauss_legendre_nodes
+from .params import EnsembleParams, quantile_nodes
 from .io import parse_edge_list
 from .sampler import Graph, edge_keys, edges_from_keys
 from .theory import DegreeLaw, expected_avg_degree_finite_n, log_factorials
@@ -83,16 +82,9 @@ _PMF_NODES = 512  # Gauss-Legendre nodes of finite_n_degree_pmf
 
 
 def finite_n_degree_pmf(p: EnsembleParams, k_max: int) -> np.ndarray:
-    """Mixed-Poisson pmf with the finite-n mixing kappa_n(X), by quadrature.
-
-    The latent quantile u is substituted as u = v**4: the coordinate
-    r_n + 4 log(v) / gamma never underflows and the weight 4 v**3, the same
-    at every gamma, is smooth at 0, so Gauss-Legendre nodes in v integrate
-    kappa_n's Poisson pmf.  Returns pmf(0..k_max); the deficit is tail mass.
-    """
-    v, wv = gauss_legendre_nodes(0.0, 1.0, _PMF_NODES)
-    w = 4.0 * v**3 * wv
-    kappa = expected_degree_fn(p, p.r_n + 4.0 * np.log(v) / p.gamma)
+    """pmf(0..k_max) of Poisson(kappa_n(X)), X on quantile_nodes; the deficit is tail mass."""
+    x, w = quantile_nodes(p.r_n, p.gamma, _PMF_NODES)
+    kappa = expected_degree_fn(p, x)
     ks = np.arange(k_max + 1, dtype=float)
     # xlogy keeps k * log(kappa) at 0 for k = 0 when kappa = 0 (n = 1)
     log_pois = xlogy(ks[:, None], kappa) - kappa - log_factorials(k_max)[:, None]

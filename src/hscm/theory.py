@@ -146,7 +146,7 @@ def finite_size_degree_tail(p: EnsembleParams, t):
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0.0):
-        raise DomainError("tail argument must be positive")
+        raise DomainError(f"tail argument must be positive, got {np.min(t_arr)} for {p}")
     eps = finite_size_epsilon(p)
     lo = p.pareto_scale * (1.0 - eps)
     hi = math.sqrt(p.nu * p.n) * (1.0 - eps)

@@ -10,8 +10,10 @@ pieces of an Exp(1) expectation:
 * the mpmath oracles evaluate the same quantities at 40 significant digits,
   for sizes where double-precision nested quadrature drifts;
 * the box-average oracle integrates one partition box with scipy dblquad,
-  and averaged_box_oracle builds nodes on every interval and sums every box,
-  where the library uses that a finite box depends only on s + t;
+  and averaged_box_oracle builds 100 v**4 CDF nodes on every interval and
+  sums every box, where the library takes 16 nodes in two other rules and
+  uses that a finite box depends only on s + t; gibbs_upper_rescaled_oracle
+  assembles the Gibbs upper bound from those box means;
 * the degree-pmf oracles integrate the Pareto mixing integral directly, or
   evaluate the incomplete-gamma closed form with mpmath, where the library
   runs a recurrence from one quadrature seed;
@@ -60,7 +62,8 @@ from scipy.special import xlogy
 from hscm.entropy import graphon_entropy, interval_masses, partition
 from hscm.errors import DomainError, InsufficientTailError
 from hscm import rng
-from hscm.graphon import _logistic_neg, bernoulli_entropy, expectation_of_sum, w_fermi_dirac
+from hscm.graphon import (_logistic_neg, bernoulli_entropy, bernoulli_entropy_logit,
+                          expectation_of_sum, w_fermi_dirac)
 from hscm.params import derive_params, mu_n_quantile
 from hscm.quadrature import gauss_legendre_nodes
 from hscm.sampler import Graph, sample_coordinates
@@ -494,14 +497,17 @@ def h_mpmath(s):
     return mp.log1p(t) + a * t / (1 + t)
 
 
-def expectation_of_sum_mpmath(p, f_of_sum, dps=40):
-    """E[f(X + Y)] at `dps` digits: one mpmath integral of f(2 r_n - u / gamma) u e^-u.
+def expectation_of_sum_mpmath(p, f_of_sum, dps=40, top=None):
+    """E[f(X + Y)] at `dps` digits: one mpmath integral of f(2 top - u / gamma) u e^-u.
 
-    f_of_sum maps an mpf sum s = x + y to an mpf.  The range u >= 0 is split
-    where the kernel turns, s = 0 or u = 2 gamma r_n, when that is positive.
+    X and Y are drawn from the latent measure conditioned to (-inf, top],
+    top = r_n (the whole support) by default; top - X is Exp(gamma) either
+    way.  f_of_sum maps an mpf sum s = x + y to an mpf.  The range u >= 0 is
+    split where the kernel turns, s = 0 or u = 2 gamma top, when that is
+    positive.
     """
     with mp.workdps(dps):
-        gamma, r2 = mp.mpf(p.gamma), 2 * mp.mpf(p.r_n)
+        gamma, r2 = mp.mpf(p.gamma), 2 * mp.mpf(p.r_n if top is None else top)
         turn = gamma * r2
         return mp.quad(lambda u: f_of_sum(r2 - u / gamma) * u * mp.exp(-u),
                        [0, turn, mp.inf] if turn > 0 else [0, mp.inf])
@@ -529,34 +535,53 @@ def box_average_oracle(p, a, b, c, d, kernel):
     return val / (mass_x * mass_y)
 
 
-def averaged_box_oracle(p, m, kernel=w_fermi_dirac, gl_order=16):
-    """Box values of the averaged kernel, one Gauss-Legendre tensor per box.
+def averaged_box_oracle(p, m, order=100, live=None):
+    """Box means of W and of H(W) over the partition, shape (2, k, k).
 
-    Builds nodes and weights on every interval and sums a full row of boxes
-    at a time, with no use of the x + y or translation structure.
+    The boxes are those among the k intervals flagged in `live`, all m by
+    default.  Every interval gets its own nodes from its own CDF:
+    conditioned to (rho[t], rho[t + 1]], U = exp(gamma (x - rho[t + 1])) is
+    uniform on [a, 1] with a = exp(-gamma * width) (a = 0 on the first
+    interval), and U = v**4 gives x = rho[t + 1] + 4 log(v) / gamma with
+    weight 4 v**3 / (1 - a) for v in [a**(1/4), 1].  Each row of boxes is
+    summed over full node tensors, with no use of the translation structure.
     """
-    gamma, r_n = p.gamma, p.r_n
+    gamma = p.gamma
     rho = partition(p, m)
+    intervals = np.arange(m) if live is None else np.flatnonzero(live)
+    k = intervals.size
+    nodes = np.empty((k, order))
+    weights = np.empty((k, order))
+    for i, t in enumerate(intervals):
+        drop = gamma * (rho[t + 1] - rho[t])  # inf on the first interval
+        v, wv = gauss_legendre_nodes(math.exp(-drop / 4.0), 1.0, order)
+        nodes[i] = rho[t + 1] + 4.0 * np.log(v) / gamma
+        weights[i] = 4.0 * v**3 * wv / -math.expm1(-drop)
+    box = np.empty((2, k, k))
+    for s in range(k):
+        sums = nodes[s][:, None] + nodes[s:].ravel()[None, :]
+        pair = weights[s][:, None] * weights[s:].ravel()[None, :]
+        for row, kernel in zip(box, (_logistic_neg, bernoulli_entropy_logit)):
+            means = (pair * kernel(sums)).sum(axis=0).reshape(k - s, order).sum(axis=1)
+            row[s, s:] = row[s:, s] = means
+    return box
+
+
+def gibbs_upper_rescaled_oracle(p, order=100):
+    """The rescaled Gibbs upper bound with the box means of averaged_box_oracle.
+
+    Boxes of an interval whose mass underflows to 0 add nothing, so only
+    the others are built.
+    """
+    m = math.ceil(math.log(p.n) ** 2) + 1
     masses = interval_masses(p, m)
-    nodes = np.empty((m, gl_order))
-    weights = np.empty((m, gl_order))
-    u1 = math.exp(gamma * (rho[1] - r_n))
-    un, uw = gauss_legendre_nodes(0.0, u1, gl_order)
-    nodes[0] = r_n + np.log(un) / gamma
-    weights[0] = uw
-    for t in range(1, m):
-        xn, xw = gauss_legendre_nodes(rho[t], rho[t + 1], gl_order)
-        nodes[t] = xn
-        weights[t] = xw * gamma * np.exp(gamma * (xn - r_n))
-    flat_nodes = nodes.ravel()
-    flat_weights = weights.ravel()
-    box = np.empty((m, m))
-    for s in range(m):
-        kmat = kernel(nodes[s][:, None], flat_nodes[None, :])
-        row = (weights[s][:, None] * flat_weights[None, :] * kmat).sum(axis=0)
-        box[s] = row.reshape(m, gl_order).sum(axis=1)
-    box /= masses[:, None] * masses[None, :]
-    return np.clip(box, 0.0, 1.0)
+    live = masses > 0.0
+    w_bar, h_bar = averaged_box_oracle(p, m, order, live)
+    excess = np.maximum(bernoulli_entropy(np.clip(w_bar, 0.0, 1.0)) - h_bar, 0.0)
+    pairs = 0.5 * p.n * (p.n - 1)
+    upper = (pairs * graphon_entropy(p) - p.n * float(xlogy(masses, masses).sum())
+             + pairs * float(masses[live] @ excess @ masses[live]))
+    return 2.0 * upper / (p.n * math.log(p.n))
 
 
 def box_matrix(values, m_n):

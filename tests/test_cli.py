@@ -150,6 +150,15 @@ class TestDegrees:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["graphs"] == 2
 
+    def test_reading_needs_no_seed(self, tmp_path):
+        # --in samples nothing, so no seed is asked for or recorded
+        gdir, out = tmp_path / "g", tmp_path / "d"
+        run_cli("generate", "--gamma", 2, "--nu", 10, "--n", 500, "--seed", 13, "--out", gdir)
+        assert run_cli("degrees", "--gamma", 2, "--nu", 10, "--n", 500, "--in", gdir,
+                       "--out", out) == 0
+        config = strict_json(out / "summary.json")["config"]
+        assert config["seed"] is None and config["input_dir"] == str(gdir)
+
     def test_theory_columns_match_theory_command(self, tmp_path):
         ddir, tdir = tmp_path / "d", tmp_path / "t"
         run_cli("degrees", "--gamma", 2, "--nu", 10, "--n", 1000, "--replicas", 1,
@@ -305,6 +314,9 @@ class TestTheoryCmd:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert all(math.isfinite(summary[key]) for key in
                    ("expected_avg_degree_finite_n", "expected_avg_degree_asymptotic", "r_n"))
+        # every option that shapes the outputs, --t-points for tail_curve.csv too
+        assert summary["config"] == {"gamma": 1000.0, "nu": 1000.0, "n": 10, "k_max": 100,
+                                     "t_points": 200}
 
     # no node's expected degree reaches n - 1 = 9; with eps_n at -inf both
     # cutoffs used to be +inf, and the curve read 1 up to t = 1199
@@ -583,6 +595,12 @@ def _tiny_nu(command, nu):
         capsys, "scm-solve", "--gamma", 2, "--out", tmp_path),
      2, "scm-solve needs --degrees-file or all of --gamma/--nu/--n/--seed"),
     (lambda tmp_path, monkeypatch, capsys: _cli_outcome(
+        capsys, "degrees", *MODEL, "--out", tmp_path),
+     2, "degrees needs --seed to sample graphs"),
+    (lambda tmp_path, monkeypatch, capsys: _cli_outcome(
+        capsys, "generate", *MODEL, "--out", tmp_path),
+     2, "generate needs --seed to sample graphs"),
+    (lambda tmp_path, monkeypatch, capsys: _cli_outcome(
         capsys, "theory", *MODEL, "--k-max", 1.5, "--out", tmp_path),
      2, "invalid integer '1.5'"),
     (_memory_error_in_command, 2,
@@ -596,7 +614,8 @@ def _tiny_nu(command, nu):
     (_tiny_nu("theory", 1e-310), 2, "got 2.5e-311 for gamma=2.0, nu=1e-310"),
 ], ids=["ingest-comments-only", "degrees-in-no-header", "degrees-in-no-edges-files",
         "degrees-in-wrong-n", "ingest-tail-fit-error", "entropy-sizes-not-integers",
-        "scm-solve-gamma-only", "k-max-not-integer", "memory-error", "empty-histogram",
+        "scm-solve-gamma-only", "degrees-no-seed", "generate-no-seed", "k-max-not-integer",
+        "memory-error", "empty-histogram",
         "theory-nu-underflows", "generate-nu-underflows", "theory-nu-subnormal"])
 def test_error_branch(case, outcome, message, tmp_path, monkeypatch, capsys):
     got, text = case(tmp_path, monkeypatch, capsys)

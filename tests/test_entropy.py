@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import (
     classical_entropy_of_sum,
     deviation_log_slope,
     expectation_of_sum_mpmath,
+    gibbs_upper_rescaled_oracle,
     h_mpmath,
     negative_region_entropy,
     nested_expectation,
@@ -19,6 +21,7 @@ from oracles import (
     rescaled_entropy_series,
     sigma_oracle,
     verify_graphon_maximality,
+    w_mpmath,
 )
 from hscm.entropy import (
     averaged_graphon,
@@ -28,8 +31,7 @@ from hscm.entropy import (
     partition,
 )
 from hscm.errors import DomainError
-from hscm.graphon import (bernoulli_entropy, bernoulli_entropy_logit, expectation_of_sum,
-                          w_fermi_dirac)
+from hscm.graphon import bernoulli_entropy, expectation_of_sum, w_fermi_dirac
 from hscm.params import derive_params, mu_n_quantile
 
 G2 = [derive_params(2.0, 10.0, n) for n in (10**3, 10**4, 10**5, 10**6)]
@@ -38,6 +40,12 @@ G2 = [derive_params(2.0, 10.0, n) for n in (10**3, 10**4, 10**5, 10**6)]
 def standard_m_n(p):
     """The interval count ceil(log^2 n) + 1 that the Gibbs bounds use."""
     return math.ceil(math.log(p.n) ** 2) + 1
+
+
+@functools.lru_cache(maxsize=None)
+def box_oracle(p):
+    """averaged_box_oracle at the standard interval count, once per ensemble."""
+    return averaged_box_oracle(p, standard_m_n(p))
 
 
 class TestGraphonEntropy:
@@ -153,20 +161,29 @@ class TestPartition:
 
 
 class TestAveragedGraphon:
-    def test_one_box_partition_is_global_mean(self, monkeypatch):
+    def test_one_box_partition_is_global_mean(self):
         from hscm.graphon import mean_kernel_value
 
-        monkeypatch.setattr("hscm.entropy._GL_ORDER", 40)
         p = derive_params(2.0, 10.0, 10**3)
         box = box_matrix(averaged_graphon(p, 2)[0], 2)
         masses = interval_masses(p, 2)
         mean = mean_kernel_value(p)
         # the (2,2) box carries almost all the mass and must match E[W]
         assert box[1, 1] == pytest.approx(mean, rel=1e-3)
-        total = float(masses @ box @ masses)
-        # Gauss-Legendre on the CDF-mapped unbounded interval is algebraically
-        # (not spectrally) convergent, so allow 1e-7 here
-        assert total == pytest.approx(mean, rel=1e-7)
+        assert float(masses @ box @ masses) == pytest.approx(mean, rel=1e-14)
+
+    @pytest.mark.parametrize("gamma,nu,n", [(2.0, 10.0, 10**3), (1.1, 4.92, 10**3),
+                                            (2.0, 10.0, 10**5)])
+    def test_corner_box_matches_mpmath(self, gamma, nu, n):
+        # the first interval with itself, against one 30-digit integral over the
+        # conditioned sum; scipy's dblquad is itself 1e-8 off on this box
+        p = derive_params(gamma, nu, n)
+        w_bar, h_bar = averaged_graphon(p, standard_m_n(p))[:, 0]
+        top = -p.r_n
+        assert w_bar == pytest.approx(
+            float(expectation_of_sum_mpmath(p, w_mpmath, 30, top)), rel=1e-14)
+        assert h_bar == pytest.approx(
+            float(expectation_of_sum_mpmath(p, h_mpmath, 30, top)), rel=1e-12)
 
     def test_box_values_bracketed_by_kernel_range(self):
         p = derive_params(2.0, 10.0, 10**4)
@@ -181,7 +198,8 @@ class TestAveragedGraphon:
         m = standard_m_n(p)
         rho = partition(p, m)
         box = box_matrix(averaged_graphon(p, m)[0], m)
-        for s, t in ((1, 1), (m - 1, m - 1), (2, m - 2), (m // 2, m // 2)):
+        for s, t in ((1, 1), (m - 1, m - 1), (2, m - 2), (m // 2, m // 2), (0, m - 1),
+                     (0, m // 2)):
             ref = box_average_oracle(p, rho[s], rho[s + 1], rho[t], rho[t + 1],
                                      w_fermi_dirac)
             assert box[s, t] == pytest.approx(ref, rel=1e-9)
@@ -192,8 +210,7 @@ class TestAveragedGraphon:
         p = derive_params(gamma, nu, n)
         m = standard_m_n(p)
         got = box_matrix(averaged_graphon(p, m)[0], m)
-        ref = averaged_box_oracle(p, m)
-        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+        assert np.allclose(got, box_oracle(p)[0], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("gamma,nu,n", [(2.0, 10.0, 10**5), (1.1, 4.92, 10**3)])
     def test_entropy_box_means_match_all_box_oracle(self, gamma, nu, n):
@@ -201,8 +218,13 @@ class TestAveragedGraphon:
         p = derive_params(gamma, nu, n)
         m = standard_m_n(p)
         got = box_matrix(averaged_graphon(p, m)[1], m)
-        ref = averaged_box_oracle(p, m, kernel=lambda x, y: bernoulli_entropy_logit(x + y))
-        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+        assert np.allclose(got, box_oracle(p)[1], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("gamma,nu", [(2.0, 10.0), (1.1, 4.92)])
+    def test_all_box_oracle_has_converged(self, gamma, nu):
+        p = derive_params(gamma, nu, 10**3)
+        assert np.allclose(box_oracle(p), averaged_box_oracle(p, standard_m_n(p), order=200),
+                           rtol=1e-14, atol=0.0)
 
     def test_masses_at_huge_gamma(self):
         # gamma * 2 r_n passes the float maximum here; RuntimeWarnings are errors
@@ -225,6 +247,26 @@ class TestAveragedGraphon:
 
 
 class TestGibbsBounds:
+    # gamma * width is 1e2 to 1e4 on the first row, where latent-density nodes
+    # in x were 2e-3 to 7e-2 off; 0.25 to 0.5 on the second, the paper's
+    # shapes.  At (3.5, 1e-9, 3) it is 39: nodes cut at gamma * (rho[2] - x)
+    # = 30 rather than 30 / beta miss 3e-10 of the kernel's growing tail
+    @pytest.mark.parametrize("gamma,nu,n,rel", [
+        (1e3, 1e-9, 10**6, 1e-12), (1e5, 1e-6, 10**7, 1e-12), (100.0, 1e-3, 10**6, 1e-12),
+        (2.0, 10.0, 10**3, 1e-13), (2.0, 10.0, 10**4, 1e-13), (2.0, 10.0, 10**5, 1e-13),
+        (1.1, 4.92, 10**3, 1e-13), (1.1, 4.92, 10**4, 1e-13), (1.1, 4.92, 10**5, 1e-13),
+        (200.0, 0.1, 3, 1e-10), (1.1, 300.0, 3, 1e-10), (2.0, 1e-6, 3, 1e-10),
+        (5.0, 1e-6, 3, 1e-10), (3.5, 1e-9, 3, 1e-10)])
+    def test_upper_bound_matches_all_box_oracle(self, gamma, nu, n, rel):
+        p = derive_params(gamma, nu, n)
+        assert gibbs_entropy_bounds(p).gibbs_upper_rescaled == pytest.approx(
+            gibbs_upper_rescaled_oracle(p), rel=rel)
+
+    def test_upper_above_lower_at_huge_gamma(self):
+        # the averaged kernel's nodes once missed the mass and made upper == lower
+        rep = gibbs_entropy_bounds(derive_params(1e5, 1e-6, 10**7))
+        assert rep.gibbs_upper > rep.gibbs_lower
+
     def test_report_invariants(self):
         for p in G2:
             rep = gibbs_entropy_bounds(p)

@@ -112,6 +112,8 @@ class TestBernoulliEntropy:
         for bad in (-1e-12, 1.0 + 1e-12):
             with pytest.raises(DomainError):
                 bernoulli_entropy(bad)
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\], got -0.25$"):
+            bernoulli_entropy([0.5, -0.25, 2.0])
 
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=300)
@@ -199,6 +201,10 @@ class TestExpectedDegree:
             expected_degree_fn(self.p, self.p.r_n + 1.0)
         with pytest.raises(DomainError):
             expected_degree_fn(self.p, [0.0, self.p.r_n + 1.0])
+        with pytest.raises(DomainError, match=rf"coordinate 9.0 above the support end "
+                                              rf"{self.p.r_n} of EnsembleParams\(gamma=2.0, "
+                                              rf"nu=10.0, n=10000\)$"):
+            expected_degree_fn(self.p, [0.0, 9.0])
 
     # adaptive quadrature of kappa_n misses its tolerance at the first three;
     # scipy's hyp2f1 was 7e-9 off at 1 + 1e-9, returned inf or lost digits

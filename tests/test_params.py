@@ -84,6 +84,10 @@ class TestMeasure:
         for bad in (0.0, -0.3, 1.0 + 1e-9):
             with pytest.raises(DomainError):
                 mu_n_quantile(self.p, bad)
+        # the message names the first bad value and the ensemble
+        with pytest.raises(DomainError, match=r"\(0, 1\], got 1.5 for EnsembleParams\("
+                                              r"gamma=2.0, nu=10.0, n=10000\)$"):
+            mu_n_quantile(self.p, [0.5, 1.5, -1.0])
 
     def test_cdf_quantile_roundtrip(self):
         u = 1.0 - rng.uniform(123, 0, np.arange(10**4, dtype=np.uint64))

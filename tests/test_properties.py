@@ -36,9 +36,10 @@ REPORT_FIELDS = ("sigma", "sigma_rescaled", "gibbs_lower", "gibbs_upper", "s_m",
 @settings(max_examples=500, deadline=None)
 # P(D = 0) rounded one ulp above 1 here
 @example(gamma=1.0000000000000002, nu=1e-6, n=1, k_max=0)
-# the averaged kernel's 16 nodes per interval cannot follow the latent
-# density when gamma times the interval width is large; the Gibbs upper
-# bound taken as n S[M] + C(n,2) sigma[averaged kernel] fell below the lower
+# gamma times the interval width is 72 to 181 here: the Gibbs upper bound
+# fell below the lower when it was n S[M] + C(n,2) sigma[averaged kernel],
+# with box means on nodes evenly spaced in x, most of them where the latent
+# density is negligible; the nodes in gamma (rho[2] - x) now follow the mass
 @example(gamma=1000.0, nu=1.0, n=10**6, k_max=0)
 @example(gamma=30.0, nu=1e-9, n=10, k_max=0)
 @example(gamma=1000.0, nu=1e-9, n=10**6, k_max=0)

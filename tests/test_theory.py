@@ -258,6 +258,9 @@ class TestFiniteSizeTail:
         assert finite_size_degree_tail(p, 2.0 * hi) == 0.0
         with pytest.raises(DomainError):
             finite_size_degree_tail(p, 0.0)
+        with pytest.raises(DomainError, match=r"positive, got -2.0 for EnsembleParams\("
+                                              r"gamma=2.0, nu=10.0, n=10000\)$"):
+            finite_size_degree_tail(p, [1.0, -2.0, 0.0])
 
     def test_huge_gamma_has_no_overflow(self):
         p = derive_params(1e6, 10.0, 1000)
