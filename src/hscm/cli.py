@@ -2,6 +2,9 @@
 
 Subcommands: generate, degrees, entropy, theory, scm-solve, ingest.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O error.
+A `cmd_*` takes the parsed options and returns `{file name: (header, rows) or
+fields}`; `main` writes each as a CSV table or as JSON with the command and a
+`config` of every option the command left in cfg but --out and --jobs.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def _generate_graphs(cfg, p):
             yield result
 
 
-def cmd_generate(cfg) -> int:
+def cmd_generate(cfg) -> dict:
     p = derive_params(cfg.gamma, cfg.nu, cfg.n)
     replicas = []
     for index, (graph, wall) in enumerate(_generate_graphs(cfg, p)):
@@ -105,19 +108,10 @@ def cmd_generate(cfg) -> int:
             "avg_degree": graph.average_degree(),
             "wall_time_s": wall,
         })
-    hio.write_json(os.path.join(cfg.out, "meta.json"), {
-        "command": "generate",
-        "config": {
-            "gamma": cfg.gamma, "nu": cfg.nu, "n": cfg.n,
-            "replicas": cfg.replicas, "seed": cfg.seed,
-            "sampler": cfg.sampler,
-        },
-        "replicas": replicas,
-    })
-    return 0
+    return {"meta.json": {"replicas": replicas}}
 
 
-def cmd_degrees(cfg) -> int:
+def cmd_degrees(cfg) -> dict:
     p = derive_params(cfg.gamma, cfg.nu, cfg.n)
     if cfg.input_dir:
         paths = [os.path.join(cfg.input_dir, name)
@@ -137,27 +131,23 @@ def cmd_degrees(cfg) -> int:
     for k in range(cfg.k_max + 1):
         emp = pe[k] if k < pe.size else 0.0
         rows.append((k, f"{emp:.10e}", f"{q_asym[k]:.10e}", f"{q_fin[k]:.10e}"))
-    hio.write_csv(os.path.join(cfg.out, "degrees.csv"),
-                  ["k", "empirical_pmf", "theory_pmf_asymptotic", "theory_pmf_finite_n"],
-                  rows)
-    hio.write_json(os.path.join(cfg.out, "summary.json"), {
-        "command": "degrees",
-        "config": {"gamma": cfg.gamma, "nu": cfg.nu, "n": cfg.n,
-                   "replicas": cfg.replicas, "seed": None if cfg.input_dir else cfg.seed,
-                   "sampler": cfg.sampler, "k_max": cfg.k_max, "input_dir": cfg.input_dir},
-        "avg_degree_empirical": report.avg_degree_empirical,
-        "avg_degree_empirical_se": report.avg_degree_empirical_se,
-        "avg_degree_finite_n": report.avg_degree_finite_n,
-        "avg_degree_asymptotic": report.avg_degree_asymptotic,
-        "tv_asymptotic": report.tv_asymptotic,
-        "tv_finite_n": report.tv_finite_n,
-        "tail_exponent": report.tail_exponent_estimate,
-        "graphs": hist.n_graphs,
-    })
-    return 0
+    return {
+        "degrees.csv": (["k", "empirical_pmf", "theory_pmf_asymptotic",
+                         "theory_pmf_finite_n"], rows),
+        "summary.json": {
+            "avg_degree_empirical": report.avg_degree_empirical,
+            "avg_degree_empirical_se": report.avg_degree_empirical_se,
+            "avg_degree_finite_n": report.avg_degree_finite_n,
+            "avg_degree_asymptotic": report.avg_degree_asymptotic,
+            "tv_asymptotic": report.tv_asymptotic,
+            "tv_finite_n": report.tv_finite_n,
+            "tail_exponent": report.tail_exponent_estimate,
+            "graphs": hist.n_graphs,
+        },
+    }
 
 
-def cmd_entropy(cfg) -> int:
+def cmd_entropy(cfg) -> dict:
     rows = []
     for n in cfg.sizes:
         p = derive_params(cfg.gamma, cfg.nu, n)
@@ -165,84 +155,68 @@ def cmd_entropy(cfg) -> int:
         rows.append((n, f"{rep.sigma:.12e}", f"{rep.sigma_rescaled:.8f}",
                      f"{rep.gibbs_lower_rescaled:.8f}", f"{rep.gibbs_upper_rescaled:.8f}",
                      f"{rep.s_m:.8f}", rep.m_n))
-    hio.write_csv(os.path.join(cfg.out, "entropy.csv"),
-                  ["n", "sigma", "n_sigma_over_log_n", "gibbs_lower_rescaled",
-                   "gibbs_upper_rescaled", "s_m", "m_n"], rows)
-    hio.write_json(os.path.join(cfg.out, "summary.json"), {
-        "command": "entropy",
-        "config": {"gamma": cfg.gamma, "nu": cfg.nu, "sizes": cfg.sizes},
-    })
-    return 0
+    return {"entropy.csv": (["n", "sigma", "n_sigma_over_log_n", "gibbs_lower_rescaled",
+                             "gibbs_upper_rescaled", "s_m", "m_n"], rows),
+            "summary.json": {}}
 
 
-def cmd_theory(cfg) -> int:
+def cmd_theory(cfg) -> dict:
     p = derive_params(cfg.gamma, cfg.nu, cfg.n)
-    law = DegreeLaw(p)
-    pmf = law.pmf_array(cfg.k_max)
-    hio.write_csv(os.path.join(cfg.out, "theory_pmf.csv"), ["k", "pmf"],
-                  [(k, f"{pmf[k]:.12e}") for k in range(cfg.k_max + 1)])
+    pmf = DegreeLaw(p).pmf_array(cfg.k_max)
     # from below the lower to above the upper of the curve's two cutoffs,
     # beta*nu and sqrt(nu*n), which trade places when n is small against nu
     t_lo, t_hi = sorted((p.pareto_scale, math.sqrt(p.nu * p.n)))
     ts = np.geomspace(t_lo / 4.0, t_hi * 1.2, cfg.t_points)
     tail = finite_size_degree_tail(p, ts)
-    hio.write_csv(os.path.join(cfg.out, "tail_curve.csv"), ["t", "tail_probability"],
-                  [(f"{t:.8e}", f"{v:.10e}") for t, v in zip(ts, tail)])
-    hio.write_json(os.path.join(cfg.out, "summary.json"), {
-        "command": "theory",
-        "config": {"gamma": cfg.gamma, "nu": cfg.nu, "n": cfg.n, "k_max": cfg.k_max,
-                   "t_points": cfg.t_points},
-        "expected_avg_degree_finite_n": expected_avg_degree_finite_n(p),
-        "expected_avg_degree_asymptotic": p.nu,
-        "r_n": p.r_n,
-    })
-    return 0
+    return {
+        "theory_pmf.csv": (["k", "pmf"], [(k, f"{pmf[k]:.12e}") for k in range(cfg.k_max + 1)]),
+        "tail_curve.csv": (["t", "tail_probability"],
+                           [(f"{t:.8e}", f"{v:.10e}") for t, v in zip(ts, tail)]),
+        "summary.json": {
+            "expected_avg_degree_finite_n": expected_avg_degree_finite_n(p),
+            "expected_avg_degree_asymptotic": p.nu,
+            "r_n": p.r_n,
+        },
+    }
 
 
-def cmd_scm_solve(cfg) -> int:
-    if cfg.degrees_file:
+def cmd_scm_solve(cfg) -> dict:
+    # each source deletes the options its run ignores, so its config omits them
+    if cfg.degrees_file is not None:
         inst = solve_scm(hio.read_degrees(cfg.degrees_file), tol=cfg.tol)
-        source = {"degrees_file": cfg.degrees_file, "tol": cfg.tol}
+        del cfg.gamma, cfg.nu, cfg.n, cfg.seed
     else:  # frozen coordinates: no solve, so no tol
         p = derive_params(cfg.gamma, cfg.nu, cfg.n)
-        coords = sample_coordinates(p, cfg.seed)
-        inst = hscm_to_scm(coords)
-        source = {"gamma": cfg.gamma, "nu": cfg.nu, "n": cfg.n, "seed": cfg.seed}
-    hio.write_json(os.path.join(cfg.out, "scm.json"), {
-        "command": "scm-solve",
-        "config": source,
+        inst = hscm_to_scm(sample_coordinates(p, cfg.seed))
+        del cfg.degrees_file, cfg.tol
+    return {"scm.json": {
         "n": inst.n,
         "residual": inst.residual,
         "residual_path": list(inst.residual_path),
         "cg_iterations": inst.cg_iterations,
         "expected_degrees": inst.expected_degrees.tolist(),
         "multipliers": inst.multipliers.tolist(),
-    })
-    return 0
+    }}
 
 
-def cmd_ingest(cfg) -> int:
+def cmd_ingest(cfg) -> dict:
     hist = ingest_edge_list(cfg.path)
     pmf = hist.pmf()
     rows = [(k, int(hist.counts[k]), f"{pmf[k]:.10e}")
             for k in range(hist.counts.size)]
-    hio.write_csv(os.path.join(cfg.out, "histogram.csv"), ["k", "count", "pmf"], rows)
     try:
         fit = tail_exponent_fit(hist)
         tail = {"alpha": fit.alpha, "k_min": fit.k_min, "ks_distance": fit.ks_distance}
     except InsufficientTailError as exc:
         tail = {"error": str(exc)}
-    hio.write_json(os.path.join(cfg.out, "summary.json"), {
-        "command": "ingest",
-        "config": {"path": cfg.path},
+    return {"histogram.csv": (["k", "count", "pmf"], rows), "summary.json": {
         "n": hist.n,
         "edges": int(hist.edges_per_graph[0]),
         "duplicates_dropped": hist.duplicates_dropped,
         "self_loops_dropped": hist.self_loops_dropped,
         "avg_degree": hist.mean_degree(),
         "tail_fit": tail,
-    })
-    return 0
+    }}
 
 
 def _at_least(lo):
@@ -283,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("generate", help="sample graphs to edge-list files")
     _add_model_args(sp)
     _add_sampling_args(sp)
-    sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_generate)
 
     sp = sub.add_parser("degrees", help="degree histogram vs theory")
@@ -292,21 +265,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="input_dir", default=None,
                     help="read graphs from a generate output directory")
     sp.add_argument("--k-max", dest="k_max", type=_at_least(0), default=100)
-    sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_degrees)
 
     sp = sub.add_parser("entropy", help="entropy scaling table over sizes")
     _add_model_args(sp, need_n=False)
     sp.add_argument("--sizes", required=True,
                     help="comma-separated increasing sizes, e.g. 1000,10000")
-    sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_entropy)
 
     sp = sub.add_parser("theory", help="theoretical pmf, averages, tail curve")
     _add_model_args(sp)
     sp.add_argument("--k-max", dest="k_max", type=_at_least(0), default=100)
     sp.add_argument("--t-points", dest="t_points", type=_at_least(1), default=200)
-    sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_theory)
 
     sp = sub.add_parser("scm-solve", help="solve multipliers for expected degrees")
@@ -317,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_scm_solve)
 
     sp = sub.add_parser("ingest", help="histogram an external edge list")
     sp.add_argument("--path", required=True)
-    sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_ingest)
+    for sp in sub.choices.values():  # main writes each command's outputs there
+        sp.add_argument("--out", required=True)
     return ap
 
 
@@ -333,8 +303,9 @@ def main(argv=None) -> int:
     if cfg.command == "scm-solve" and cfg.degrees_file is None \
             and None in (cfg.gamma, cfg.nu, cfg.n, cfg.seed):
         ap.error("scm-solve needs --degrees-file or all of --gamma/--nu/--n/--seed")
-    if cfg.command in ("generate", "degrees") and cfg.seed is None \
-            and not getattr(cfg, "input_dir", None):
+    if getattr(cfg, "input_dir", None):
+        cfg.seed = None  # --in samples nothing, so it records no seed
+    elif cfg.command in ("generate", "degrees") and cfg.seed is None:
         ap.error(f"{cfg.command} needs --seed to sample graphs")
     if cfg.command == "entropy":
         try:
@@ -345,7 +316,16 @@ def main(argv=None) -> int:
             ap.error("--sizes must be strictly increasing")
     try:
         os.makedirs(cfg.out, exist_ok=True)
-        return cfg.func(cfg)
+        outputs = cfg.func(cfg)
+        config = {k: v for k, v in vars(cfg).items()
+                  if k not in ("command", "func", "out", "jobs")}
+        for name, output in outputs.items():
+            path = os.path.join(cfg.out, name)
+            if isinstance(output, tuple):
+                hio.write_csv(path, *output)
+            else:
+                hio.write_json(path, {"command": cfg.command, "config": config, **output})
+        return 0
     except (DomainError, SizeGuardError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -39,7 +39,7 @@ def xlogy(x, y):
 def bernoulli_entropy(pr):
     """H(p) = -p log p - (1-p) log(1-p) in nats, with H(0) = H(1) = 0."""
     pr = np.asarray(pr, dtype=float)
-    bad = pr[(pr < 0.0) | (pr > 1.0)]
+    bad = pr[~((pr >= 0.0) & (pr <= 1.0))]  # also flags NaN
     if bad.size:
         raise DomainError(f"Bernoulli probability must lie in [0, 1], got {bad[0]}")
     out = -xlogy(pr, pr) - xlogy(1.0 - pr, 1.0 - pr)
@@ -81,7 +81,7 @@ def expected_degree_fn(p: EnsembleParams, x):
     of _turn_pieces; the tail past c + 40 is below exp(-40) of the value.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x - p.r_n > 1e-12 * max(1.0, abs(p.r_n))):
+    if not np.all(x - p.r_n <= 1e-12 * max(1.0, abs(p.r_n))):  # also flags NaN
         raise DomainError(f"coordinate {np.max(x)} above the support end {p.r_n} of {p}")
     big_l = (x + p.r_n)[..., None]
     f = 0.0

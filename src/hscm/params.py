@@ -72,7 +72,7 @@ def derive_params(gamma: float, nu: float, n: int) -> EnsembleParams:
 def mu_n_quantile(p: EnsembleParams, u):
     """Inverse CDF: x = r_n + log(u) / gamma for u in (0, 1]."""
     u_arr = np.asarray(u, dtype=float)
-    bad = u_arr[(u_arr <= 0.0) | (u_arr > 1.0)]
+    bad = u_arr[~((u_arr > 0.0) & (u_arr <= 1.0))]  # also flags NaN
     if bad.size:
         raise DomainError(f"quantile argument must lie in (0, 1], got {bad[0]} for {p}")
     out = p.r_n + np.log(u_arr) / p.gamma

@@ -88,7 +88,7 @@ class DegreeLaw:
         a subnormal into a negative value, and where P_0 is 1 rounding can
         land one ulp above it, so the output is clipped to [0, 1].
         """
-        if k_max < 0 or k_max != int(k_max):
+        if not (k_max >= 0 and float(k_max).is_integer()):  # also flags NaN
             raise DomainError(f"k_max must be a non-negative integer, got {k_max}")
         gamma, x = self.params.gamma, self.params.pareto_scale
         k_max = int(k_max)
@@ -145,7 +145,7 @@ def finite_size_degree_tail(p: EnsembleParams, t):
     also where eps_n saturates at -inf and both cutoffs are +inf.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0):
+    if not np.all(t_arr > 0.0):  # also flags NaN
         raise DomainError(f"tail argument must be positive, got {np.min(t_arr)} for {p}")
     eps = finite_size_epsilon(p)
     lo = p.pareto_scale * (1.0 - eps)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -594,6 +595,10 @@ def _tiny_nu(command, nu):
     (lambda tmp_path, monkeypatch, capsys: _cli_outcome(
         capsys, "scm-solve", "--gamma", 2, "--out", tmp_path),
      2, "scm-solve needs --degrees-file or all of --gamma/--nu/--n/--seed"),
+    # an empty --degrees-file name took the frozen-coordinates path without --gamma
+    (lambda tmp_path, monkeypatch, capsys: _cli_outcome(
+        capsys, "scm-solve", "--degrees-file", "", "--out", tmp_path),
+     4, "i/o error: "),
     (lambda tmp_path, monkeypatch, capsys: _cli_outcome(
         capsys, "degrees", *MODEL, "--out", tmp_path),
      2, "degrees needs --seed to sample graphs"),
@@ -614,8 +619,8 @@ def _tiny_nu(command, nu):
     (_tiny_nu("theory", 1e-310), 2, "got 2.5e-311 for gamma=2.0, nu=1e-310"),
 ], ids=["ingest-comments-only", "degrees-in-no-header", "degrees-in-no-edges-files",
         "degrees-in-wrong-n", "ingest-tail-fit-error", "entropy-sizes-not-integers",
-        "scm-solve-gamma-only", "degrees-no-seed", "generate-no-seed", "k-max-not-integer",
-        "memory-error", "empty-histogram",
+        "scm-solve-gamma-only", "scm-solve-empty-degrees-file", "degrees-no-seed",
+        "generate-no-seed", "k-max-not-integer", "memory-error", "empty-histogram",
         "theory-nu-underflows", "generate-nu-underflows", "theory-nu-subnormal"])
 def test_error_branch(case, outcome, message, tmp_path, monkeypatch, capsys):
     got, text = case(tmp_path, monkeypatch, capsys)
@@ -629,3 +634,83 @@ def test_scm_solve_zero_hessian_exit_3(degrees, tmp_path, capsys):
     path.write_text(degrees + "\n")
     assert run_cli("scm-solve", "--degrees-file", path, "--out", tmp_path) == 3
     assert "numerical failure: non-finite Newton step" in capsys.readouterr().err
+
+
+_DEGREES_FIELDS = {"avg_degree_empirical", "avg_degree_empirical_se", "avg_degree_finite_n",
+                   "avg_degree_asymptotic", "tv_asymptotic", "tv_finite_n", "tail_exponent",
+                   "graphs"}
+_SCM_FIELDS = {"n", "residual", "residual_path", "cg_iterations", "expected_degrees",
+               "multipliers"}
+
+
+# every option but --out and --jobs, less the options a run ignores: scm-solve
+# records only those of its source, and degrees --in records no seed
+@pytest.mark.parametrize("argv, name, config, fields", [
+    (["generate", "--gamma", 2, "--nu", 10, "--n", 300, "--replicas", 2, "--seed", 5,
+      "--jobs", 2],
+     "meta.json",
+     {"gamma": 2.0, "nu": 10.0, "n": 300, "replicas": 2, "seed": 5, "sampler": "fast"},
+     {"replicas"}),
+    (["degrees", "--gamma", 2, "--nu", 10, "--n", 200, "--seed", 4, "--k-max", 20],
+     "summary.json",
+     {"gamma": 2.0, "nu": 10.0, "n": 200, "replicas": 1, "seed": 4, "sampler": "fast",
+      "k_max": 20, "input_dir": None},
+     _DEGREES_FIELDS),
+    (["degrees", "--gamma", 2, "--nu", 10, "--n", 200, "--seed", 4, "--replicas", 2,
+      "--in", "g"],
+     "summary.json",
+     {"gamma": 2.0, "nu": 10.0, "n": 200, "replicas": 2, "seed": None, "sampler": "fast",
+      "k_max": 100, "input_dir": "g"},
+     _DEGREES_FIELDS),
+    (["entropy", "--gamma", 2, "--nu", 10, "--sizes", "1000,10000"],
+     "summary.json",
+     {"gamma": 2.0, "nu": 10.0, "sizes": [1000, 10000]},
+     set()),
+    (["theory", "--gamma", 2, "--nu", 10, "--n", 1000, "--k-max", 30, "--t-points", 7],
+     "summary.json",
+     {"gamma": 2.0, "nu": 10.0, "n": 1000, "k_max": 30, "t_points": 7},
+     {"expected_avg_degree_finite_n", "expected_avg_degree_asymptotic", "r_n"}),
+    (["scm-solve", "--degrees-file", "k.txt", "--gamma", 2, "--tol", 1e-9],
+     "scm.json",
+     {"degrees_file": "k.txt", "tol": 1e-9},
+     _SCM_FIELDS),
+    (["scm-solve", "--gamma", 2, "--nu", 10, "--n", 30, "--seed", 8, "--tol", 1e-9],
+     "scm.json",
+     {"gamma": 2.0, "nu": 10.0, "n": 30, "seed": 8},
+     _SCM_FIELDS),
+    (["ingest", "--path", "g/graph_000.edges"],
+     "summary.json",
+     {"path": "g/graph_000.edges"},
+     {"n", "edges", "duplicates_dropped", "self_loops_dropped", "avg_degree", "tail_fit"}),
+], ids=["generate", "degrees", "degrees-in", "entropy", "theory", "scm-solve-file",
+        "scm-solve-frozen", "ingest"])
+def test_summary_config_is_every_option_but_out_and_jobs(argv, name, config, fields,
+                                                         tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cli("generate", "--gamma", 2, "--nu", 10, "--n", 200, "--replicas", 2, "--seed", 3,
+            "--out", "g")
+    (tmp_path / "k.txt").write_text("1 1 2 2\n")
+    assert run_cli(*argv, "--out", "o") == 0
+    doc = strict_json(tmp_path / "o" / name)
+    assert doc["command"] == argv[0]
+    assert doc["config"] == config
+    assert set(doc) == {"command", "config", "schema_version"} | fields
+
+
+def test_main_is_the_only_output_writer():
+    # cli.py calls write_json and write_csv once each, in main, and no command
+    # returns 0 in place of its outputs, so every output passes one place
+    import hscm.cli as cli_mod
+
+    with open(cli_mod.__file__) as fh:
+        tree = ast.parse(fh.read())
+    calls = [getattr(node.func, "attr", getattr(node.func, "id", None))
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert (calls.count("write_json"), calls.count("write_csv")) == (1, 1)
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 6
+    returns_zero = [command.name for command in commands for node in ast.walk(command)
+                    if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                    and node.value.value == 0]
+    assert not returns_zero, f"commands that return 0: {returns_zero}"

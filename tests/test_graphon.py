@@ -109,7 +109,7 @@ class TestBernoulliEntropy:
         assert bernoulli_entropy(0.1) == pytest.approx(0.3250829733914482, abs=1e-15)
 
     def test_domain(self):
-        for bad in (-1e-12, 1.0 + 1e-12):
+        for bad in (-1e-12, 1.0 + 1e-12, math.nan):
             with pytest.raises(DomainError):
                 bernoulli_entropy(bad)
         with pytest.raises(DomainError, match=r"must lie in \[0, 1\], got -0.25$"):
@@ -197,8 +197,9 @@ class TestExpectedDegree:
                 (p.n - 1) * brute, rel=1e-8)
 
     def test_domain_error_above_support(self):
-        with pytest.raises(DomainError):
-            expected_degree_fn(self.p, self.p.r_n + 1.0)
+        for bad in (self.p.r_n + 1.0, math.nan):
+            with pytest.raises(DomainError):
+                expected_degree_fn(self.p, bad)
         with pytest.raises(DomainError):
             expected_degree_fn(self.p, [0.0, self.p.r_n + 1.0])
         with pytest.raises(DomainError, match=rf"coordinate 9.0 above the support end "

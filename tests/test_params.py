@@ -81,7 +81,7 @@ class TestMeasure:
                                                                      abs=1e-13)
 
     def test_quantile_domain(self):
-        for bad in (0.0, -0.3, 1.0 + 1e-9):
+        for bad in (0.0, -0.3, 1.0 + 1e-9, math.nan):
             with pytest.raises(DomainError):
                 mu_n_quantile(self.p, bad)
         # the message names the first bad value and the ensemble

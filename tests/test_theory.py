@@ -181,8 +181,8 @@ class TestDegreePmf:
 
     def test_negative_k_rejected(self):
         law = DegreeLaw(derive_params(2.0, 10.0, 100))
-        for bad in (-1, 2.5):
-            with pytest.raises(DomainError):
+        for bad in (-1, 2.5, math.nan):
+            with pytest.raises(DomainError, match="k_max must be a non-negative integer"):
                 law.pmf_array(bad)
         with pytest.raises(DomainError):
             mixed_poisson_pmf_oracle(mixing(law), -2)
@@ -256,8 +256,9 @@ class TestFiniteSizeTail:
         hi = math.sqrt(p.nu * p.n) * (1 - eps)
         assert finite_size_degree_tail(p, 0.5 * lo) == 1.0
         assert finite_size_degree_tail(p, 2.0 * hi) == 0.0
-        with pytest.raises(DomainError):
-            finite_size_degree_tail(p, 0.0)
+        for bad in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                finite_size_degree_tail(p, bad)
         with pytest.raises(DomainError, match=r"positive, got -2.0 for EnsembleParams\("
                                               r"gamma=2.0, nu=10.0, n=10000\)$"):
             finite_size_degree_tail(p, [1.0, -2.0, 0.0])
