@@ -304,7 +304,7 @@ def main(argv=None) -> int:
             and None in (cfg.gamma, cfg.nu, cfg.n, cfg.seed):
         ap.error("scm-solve needs --degrees-file or all of --gamma/--nu/--n/--seed")
     if getattr(cfg, "input_dir", None):
-        cfg.seed = None  # --in samples nothing, so it records no seed
+        cfg.seed = cfg.replicas = cfg.sampler = None  # --in samples nothing, so it records none
     elif cfg.command in ("generate", "degrees") and cfg.seed is None:
         ap.error(f"{cfg.command} needs --seed to sample graphs")
     if cfg.command == "entropy":

@@ -143,57 +143,26 @@ class TailFit:
 # Methods and Programs for Mathematical Functions, 1989): ten direct terms,
 # then the integral, the half term and twelve Bernoulli terms of the rest.
 _ZETA_DIRECT = np.arange(10.0)
-_ZETA_POWERS = np.arange(24.0)
-_BERNOULLI = [(1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
-              (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
-              (-236364091, 2730)]  # B_2, B_4, ..., B_24 as (numerator, denominator)
+_ZETA_A = np.array([12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+                    7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+                    -4.5979787224074726105e15, 1.8152105401943546773e17,
+                    -7.1661652561756670113e18])  # (2i + 2)! / B_(2i+2), Cephes's table A
 
 
-def _bernoulli_terms() -> np.ndarray:
-    """Row i: B_(2i+2) / (2i+2)! times the coefficients of s (s + 1) ... (s + 2i) in s^0..s^23.
+def _hurwitz_zeta(s, q):
+    """zeta(s, q) = sum over j >= 0 of (q + j)^-s, for Re s > 1 and q >= 1; broadcasts.
 
-    The rising factorials are expanded in exact integers, so each entry is
-    one rounding from its true value.
+    s may be complex, so Im zeta(s + ih, q) / h is d/ds zeta(s, q) to
+    rounding for a tiny step h.
     """
-    rows, rising = [], [1]
-    for k in range(23):  # multiply the polynomial by s + k
-        rising = [k * a + b for a, b in zip(rising + [0], [0] + rising)]
-        if k % 2 == 0:
-            num, den = _BERNOULLI[k // 2]
-            rows.append([num * c / (den * math.factorial(k + 2)) for c in rising]
-                        + [0.0] * (22 - k))
-    return np.array(rows)
-
-
-_ZETA_TERMS = _bernoulli_terms()
-
-
-def _hurwitz_zeta(q):
-    """s -> zeta(s, q) = sum over j >= 0 of (q + j)^-s, for q >= 1.
-
-    What depends on q alone is built once, so a bisection in s reuses it:
-    the direct terms' bases and the Bernoulli terms as one polynomial in s.
-    The rising factorials' coefficients are all positive, so for s > 0 the
-    polynomial rounds no worse than the sum of the terms' sizes.  The
-    returned function broadcasts s against q.  Like scipy.special.zeta it
-    gives nan for s < 1 and inf at s = 1, without a warning.
-    """
-    grid = np.asarray(q, dtype=float)[..., None] + _ZETA_DIRECT
-    w = grid[..., -1]
-    poly = (w[..., None] ** -(2.0 * np.arange(12.0) + 1.0)) @ _ZETA_TERMS
-
-    def zeta(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            direct = grid ** -s[..., None]
-            # s^m as exp(m log s) is ~1e-14 off, but the Bernoulli terms add
-            # up to less than 1e-3 of zeta for s >= 1, q >= 1
-            bernoulli = np.einsum("...m,...m->...", np.exp(np.log(s)[..., None] * _ZETA_POWERS),
-                                  poly)
-            z = direct.sum(axis=-1) + direct[..., -1] * (w / (s - 1.0) - 0.5 + bernoulli)
-        return np.where(s > 1.0, z, np.where(s == 1.0, np.inf, np.nan))
-
-    return zeta
+    s, q = np.asarray(s), np.asarray(q, dtype=float)
+    direct = (q[..., None] + _ZETA_DIRECT) ** -s[..., None]
+    w = q + _ZETA_DIRECT[-1]
+    rising = np.cumprod(s[..., None] + np.arange(23.0), axis=-1)[..., 0::2]  # s (s+1) .. (s+2i)
+    # einsum broadcasts s against q without a product array of every pair
+    bernoulli = np.einsum("...i,...i->...", rising / _ZETA_A,
+                          w[..., None] ** -(2.0 * np.arange(12.0) + 1.0))
+    return direct.sum(axis=-1) + direct[..., -1] * (w / (s - 1.0) - 0.5 + bernoulli)
 
 
 _MIN_TAIL_SAMPLES = 100
@@ -203,7 +172,7 @@ _ALPHA_LO, _ALPHA_HI = 1.000001, 40.0
 # runaway exponents.
 _KS_REJECT = 0.1
 _ALPHA_REJECT = 10.0
-_H = 1e-5  # step of the central difference of log zeta in alpha
+_H = 1e-20  # complex step of log zeta in alpha
 
 
 def _distinct(sorted_values: np.ndarray) -> np.ndarray:
@@ -238,11 +207,8 @@ def tail_exponent_fit(h: DegreeHistogram) -> TailFit:
     k_min, n_cut = d[cut].astype(float), n_tail[cut]
     mean_log = log_sum[cut] / n_cut
 
-    zeta_k_min = _hurwitz_zeta(k_min)
-
-    def excess(a):  # -d/da log zeta(a, k_min) - mean_log, by a central difference
-        lower, upper = np.log(zeta_k_min(np.stack([a - _H, a + _H])))
-        return (lower - upper) / (2 * _H) - mean_log
+    def excess(a):  # -d/da log zeta(a, k_min) - mean_log, by a complex step
+        return -np.log(_hurwitz_zeta(a + 1j * _H, k_min)).imag / _H - mean_log
 
     # bisect the likelihood equation; a mean log below the model's infimum gives _ALPHA_HI
     lo, hi = np.full(cut.size, _ALPHA_LO), np.full(cut.size, _ALPHA_HI)
@@ -260,7 +226,7 @@ def tail_exponent_fit(h: DegreeHistogram) -> TailFit:
     k = _distinct(k)
     above = np.append(n_tail, 0)[np.searchsorted(d, k, side="right")]
     emp = (n_cut[:, None] - above) / n_cut[:, None]
-    model = 1.0 - _hurwitz_zeta(k + 1.0)(alpha[:, None]) / zeta_k_min(alpha)[:, None]
+    model = 1.0 - _hurwitz_zeta(alpha[:, None], k + 1.0) / _hurwitz_zeta(alpha, k_min)[:, None]
     ks = np.where(k >= k_min[:, None], np.abs(model - emp), 0.0).max(axis=1)
     j = int(np.argmin(ks))
     best = TailFit(alpha=float(alpha[j]), k_min=int(k_min[j]), ks_distance=float(ks[j]),

@@ -32,8 +32,8 @@ sampler.sample_replica seeds a replica.
 tail_exponent_fit_loop is stats.tail_exponent_fit as it stood before the fit
 worked on the distinct degrees present: one cutoff at a time, each bisected
 in a scalar loop, with the model CDF at every integer from k_min to the
-largest degree.  It takes the Hurwitz zeta as an argument: the library's, to
-check the vectorisation to rounding, or scipy's, to check the whole fit.
+largest degree, and scipy's Hurwitz zeta with a central difference of its
+log for the exponent's score.
 
 skip_rows_reference is the skip engine as sampler._run_skip_rows stood
 before it hashed each row's stream prefix once and cut long rows into
@@ -68,7 +68,7 @@ from hscm.params import derive_params, mu_n_quantile
 from hscm.quadrature import gauss_legendre_nodes
 from hscm.sampler import Graph, sample_coordinates
 from hscm.stats import (
-    _ALPHA_HI, _ALPHA_LO, _ALPHA_REJECT, _KS_REJECT, _MIN_TAIL_SAMPLES, TailFit, _hurwitz_zeta,
+    _ALPHA_HI, _ALPHA_LO, _ALPHA_REJECT, _KS_REJECT, _MIN_TAIL_SAMPLES, TailFit,
 )
 
 
@@ -693,11 +693,6 @@ def truncation_k(law, tol, moment=0):
 
 # -- the per-cutoff loop of the tail fit --
 
-def library_zeta(s, q):
-    """zeta(s, q) by stats._hurwitz_zeta, with scipy.special.zeta's signature."""
-    return _hurwitz_zeta(q)(s)
-
-
 def _zeta_log_deriv(alpha, k_min, zeta):
     h = 1e-5
     return (math.log(zeta(alpha + h, k_min))
@@ -722,7 +717,7 @@ def _mle_alpha(mean_log, k_min, zeta):
     return 0.5 * (lo + hi)
 
 
-def tail_exponent_fit_loop(h, zeta=library_zeta):
+def tail_exponent_fit_loop(h, zeta=special.zeta):
     """stats.tail_exponent_fit, fitting and scoring one cutoff at a time.
 
     zeta(s, q) is the Hurwitz zeta, scalar in s and broadcast over q.

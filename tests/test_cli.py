@@ -659,7 +659,7 @@ _SCM_FIELDS = {"n", "residual", "residual_path", "cg_iterations", "expected_degr
     (["degrees", "--gamma", 2, "--nu", 10, "--n", 200, "--seed", 4, "--replicas", 2,
       "--in", "g"],
      "summary.json",
-     {"gamma": 2.0, "nu": 10.0, "n": 200, "replicas": 2, "seed": None, "sampler": "fast",
+     {"gamma": 2.0, "nu": 10.0, "n": 200, "replicas": None, "seed": None, "sampler": None,
       "k_max": 100, "input_dir": "g"},
      _DEGREES_FIELDS),
     (["entropy", "--gamma", 2, "--nu", 10, "--sizes", "1000,10000"],

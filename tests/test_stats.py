@@ -10,9 +10,11 @@ from scipy.special import zeta
 
 from oracles import mixing, tail_exponent_fit_loop, truncation_k
 from hscm.errors import DomainError, EdgeListParseError, InsufficientTailError
+from hscm import stats
 from hscm.params import derive_params
 from hscm.sampler import Graph, sample_replica
 from hscm.stats import (
+    _ALPHA_LO,
     DegreeHistogram,
     compare_to_theory,
     degree_histogram,
@@ -204,9 +206,26 @@ def _tail_histogram(case):
     return DegreeHistogram(counts=counts, n=int(counts.sum()), n_graphs=1)
 
 
+def _mpmath_alpha(counts, k_min, guess):
+    """The root of -zeta'/zeta(a, k_min) = mean log k over the tail k >= k_min, at 40 digits."""
+    ks = (np.flatnonzero(counts[k_min:]) + k_min).tolist()
+    with mp.workdps(40):
+        mean_log = (mp.fsum(int(counts[k]) * mp.log(k) for k in ks)
+                    / int(counts[k_min:].sum()))
+        return float(mp.findroot(lambda a: -mp.zeta(a, k_min, 1) / mp.zeta(a, k_min) - mean_log,
+                                 guess))
+
+
 @pytest.mark.parametrize("case", list(_TAIL_CASES))
 def test_tail_fit_matches_per_cutoff_loop(case):
-    # the loop runs the library's zeta, so only the vectorisation differs
+    # The loop scores by a central difference (h = 1e-5) of log scipy.zeta,
+    # which is within eps = 2e-15 of mpmath (TestHurwitzZeta), so its score
+    # is off by at most 2 eps / (2 h) = 2e-10 of rounding, plus h^2 / 6 times
+    # the third cumulant of log K.  The loop's alpha moves by that over the
+    # slope of the likelihood equation, Var[log K] under the fitted law,
+    # which is 0.03 at the smallest here (zeta4.5, k_min 1): 7e-9.  The KS
+    # distance moves by |dF/dalpha| < 1 times that.  Seen: 1.4e-10.  alpha
+    # itself is checked against an mpmath root.
     h = _tail_histogram(case)
     try:
         want = tail_exponent_fit_loop(h)
@@ -217,24 +236,26 @@ def test_tail_fit_matches_per_cutoff_loop(case):
         return
     fit = tail_exponent_fit(h)
     assert (fit.k_min, fit.n_tail) == (want.k_min, want.n_tail)
-    assert fit.alpha == pytest.approx(want.alpha, rel=1e-12, abs=0)
-    assert fit.ks_distance == pytest.approx(want.ks_distance, rel=1e-12, abs=0)
-
-
-@pytest.mark.parametrize("case", [c for c in _TAIL_CASES if c not in ("flat", "tiny")])
-def test_tail_fit_matches_scipy_zeta_loop(case):
-    # Error budget: zeta is within eps = 2e-15 of scipy's (TestHurwitzZeta),
-    # so the central difference of log zeta moves by at most 2 eps / (2 h)
-    # = 2e-10.  alpha then moves by that over the slope of the likelihood
-    # equation, Var[log K] under the fitted law, which is 0.03 at the
-    # smallest here (zeta4.5, k_min 1): 7e-9.  The KS distance moves by
-    # |dF/dalpha| < 1 times that.  Seen: 5e-10 and 1.3e-11.
-    h = _tail_histogram(case)
-    want = tail_exponent_fit_loop(h, zeta)
-    fit = tail_exponent_fit(h)
-    assert (fit.k_min, fit.n_tail) == (want.k_min, want.n_tail)
-    assert fit.alpha == pytest.approx(want.alpha, rel=0, abs=1e-8)
     assert fit.ks_distance == pytest.approx(want.ks_distance, rel=0, abs=1e-8)
+    assert fit.alpha == pytest.approx(_mpmath_alpha(h.counts, fit.k_min, fit.alpha),
+                                      rel=1e-13, abs=0)
+
+
+def test_tail_fit_evaluates_zeta_above_its_lower_bracket(monkeypatch):
+    # zeta is defined for Re s > 1 only, so no step of the fit may go below _ALPHA_LO
+    seen = []
+
+    def spy(s, q):
+        seen.append(np.real(s).min())
+        return _hurwitz_zeta(s, q)
+
+    monkeypatch.setattr(stats, "_hurwitz_zeta", spy)
+    for case in _TAIL_CASES:
+        try:
+            tail_exponent_fit(_tail_histogram(case))
+        except InsufficientTailError:
+            pass
+    assert min(seen) >= _ALPHA_LO
 
 
 class TestHurwitzZeta:
@@ -249,12 +270,12 @@ class TestHurwitzZeta:
 
     def test_matches_scipy(self):
         s, q = self._points(20000, 1)
-        got = _hurwitz_zeta(q)(s)
+        got = _hurwitz_zeta(s, q)
         assert np.abs(got / zeta(s, q) - 1.0).max() <= 2e-15
 
     def test_matches_mpmath(self):
         s, q = self._points(200, 2)
-        got = _hurwitz_zeta(q)(s)
+        got = _hurwitz_zeta(s, q)
         worst = 0.0
         for si, qi, zi in zip(s.tolist(), q.tolist(), got.tolist()):
             # mpmath's error here is absolute, so carry digits to the value's size
@@ -264,16 +285,16 @@ class TestHurwitzZeta:
 
     def test_broadcasts_against_q(self):
         s, q = np.array([[1.5], [2.0], [7.25]]), np.array([1.0, 3.0, 40.0, 1e4])
-        assert np.abs(_hurwitz_zeta(q)(s) / zeta(s, q) - 1.0).max() <= 2e-15
+        assert np.abs(_hurwitz_zeta(s, q) / zeta(s, q) - 1.0).max() <= 2e-15
 
-    def test_nan_below_one_and_inf_at_one(self):
-        # the fit's central difference evaluates at alpha - 1e-5 < 1 near its
-        # lower bracket, where nan, as from scipy, steers the bisection up
-        s = np.array([-1.0, 0.0, 0.5, 0.99999, 1.0, 1.0 + 1e-12])
-        got = _hurwitz_zeta(np.array([1.0, 1.0, 2.0, 3.0, 1.0, 5.0]))(s)
-        assert np.isnan(got[:4]).all()
-        assert got[4] == np.inf
-        assert np.isfinite(got[5]) and got[5] > 1e11
+    def test_complex_step_derivative_matches_mpmath(self):
+        s, q = self._points(400, 3)
+        got = _hurwitz_zeta(s + 1e-20j, q).imag / 1e-20
+        worst = 0.0
+        for si, qi, di in zip(s.tolist(), q.tolist(), got.tolist()):
+            with mp.workdps(30 + max(0, -math.floor(math.log10(-di)))):
+                worst = max(worst, abs(float(mp.mpf(di) / mp.zeta(si, qi, 1) - 1)))
+        assert worst <= 5e-14
 
 
 class TestCompareToTheory:
