@@ -32,8 +32,9 @@ sampler.sample_replica seeds a replica.
 tail_exponent_fit_loop is stats.tail_exponent_fit as it stood before the fit
 worked on the distinct degrees present: one cutoff at a time, each bisected
 in a scalar loop, with the model CDF at every integer from k_min to the
-largest degree, and scipy's Hurwitz zeta with a central difference of its
-log for the exponent's score.
+largest degree, and a central difference of log zeta for the exponent's
+score.  It takes the Hurwitz zeta as an argument: scipy's by default, to
+check the whole fit, or the library's, to check the vectorisation.
 
 skip_rows_reference is the skip engine as sampler._run_skip_rows stood
 before it hashed each row's stream prefix once and cut long rows into

@@ -218,17 +218,13 @@ def _mpmath_alpha(counts, k_min, guess):
 
 @pytest.mark.parametrize("case", list(_TAIL_CASES))
 def test_tail_fit_matches_per_cutoff_loop(case):
-    # The loop scores by a central difference (h = 1e-5) of log scipy.zeta,
-    # which is within eps = 2e-15 of mpmath (TestHurwitzZeta), so its score
-    # is off by at most 2 eps / (2 h) = 2e-10 of rounding, plus h^2 / 6 times
-    # the third cumulant of log K.  The loop's alpha moves by that over the
-    # slope of the likelihood equation, Var[log K] under the fitted law,
-    # which is 0.03 at the smallest here (zeta4.5, k_min 1): 7e-9.  The KS
-    # distance moves by |dF/dalpha| < 1 times that.  Seen: 1.4e-10.  alpha
-    # itself is checked against an mpmath root.
+    # The loop runs the library's zeta, so the vectorisation and the loop's
+    # central difference (h = 1e-5) of log zeta in place of the complex step
+    # are all that differ: the budget of test_tail_fit_matches_scipy_zeta_loop
+    # covers the difference.  alpha itself is checked against an mpmath root.
     h = _tail_histogram(case)
     try:
-        want = tail_exponent_fit_loop(h)
+        want = tail_exponent_fit_loop(h, _hurwitz_zeta)
     except InsufficientTailError as exc:
         with pytest.raises(InsufficientTailError) as got:
             tail_exponent_fit(h)
@@ -239,6 +235,23 @@ def test_tail_fit_matches_per_cutoff_loop(case):
     assert fit.ks_distance == pytest.approx(want.ks_distance, rel=0, abs=1e-8)
     assert fit.alpha == pytest.approx(_mpmath_alpha(h.counts, fit.k_min, fit.alpha),
                                       rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("case", [c for c in _TAIL_CASES if c not in ("flat", "tiny")])
+def test_tail_fit_matches_scipy_zeta_loop(case):
+    # The loop scores by a central difference (h = 1e-5) of log scipy.zeta,
+    # which is within eps = 2e-15 of mpmath (TestHurwitzZeta), so its score
+    # is off by at most 2 eps / (2 h) = 2e-10 of rounding, plus h^2 / 6 times
+    # the third cumulant of log K.  The loop's alpha moves by that over the
+    # slope of the likelihood equation, Var[log K] under the fitted law,
+    # which is 0.03 at the smallest here (zeta4.5, k_min 1): 7e-9.  The KS
+    # distance moves by |dF/dalpha| < 1 times that.  Seen: 1.4e-10.
+    h = _tail_histogram(case)
+    want = tail_exponent_fit_loop(h, zeta)
+    fit = tail_exponent_fit(h)
+    assert (fit.k_min, fit.n_tail) == (want.k_min, want.n_tail)
+    assert fit.alpha == pytest.approx(want.alpha, rel=0, abs=1e-8)
+    assert fit.ks_distance == pytest.approx(want.ks_distance, rel=0, abs=1e-8)
 
 
 def test_tail_fit_evaluates_zeta_above_its_lower_bracket(monkeypatch):
