@@ -23,11 +23,9 @@ from .entropy import (
 from .errors import (
     ConvergenceError,
     DomainError,
-    EdgeListParseError,
     HscmError,
     InsufficientTailError,
     ParseError,
-    SizeGuardError,
 )
 from .graphon import (
     bernoulli_entropy,

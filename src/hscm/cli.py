@@ -2,6 +2,8 @@
 
 Subcommands: generate, degrees, entropy, theory, scm-solve, ingest.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O error.
+They come from DomainError or MemoryError (2), ConvergenceError (3), and
+ParseError or OSError (4).
 A `cmd_*` takes the parsed options and returns `{file name: (header, rows) or
 fields}`; `main` writes each as a CSV table or as JSON with the command and a
 `config` of every option the command left in cfg but --out and --jobs.
@@ -23,13 +25,7 @@ import numpy as np
 
 from . import io as hio
 from .entropy import gibbs_entropy_bounds
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    InsufficientTailError,
-    ParseError,
-    SizeGuardError,
-)
+from .errors import ConvergenceError, DomainError, InsufficientTailError, ParseError
 from .params import derive_params
 from .sampler import sample_coordinates, sample_replica
 from .scm import hscm_to_scm, solve_scm
@@ -54,7 +50,7 @@ def _physical_memory() -> int:
 
 
 def _check_memory(p, workers):
-    """SizeGuardError unless `workers` replicas of p can be sampled at once in RAM.
+    """DomainError unless `workers` replicas of p can be sampled at once in RAM.
 
     The expected edge count of a replica is n/2 times the expected average degree.
     """
@@ -62,7 +58,7 @@ def _check_memory(p, workers):
     need = workers * (_BYTES_PER_NODE * p.n + _BYTES_PER_EDGE * edges)
     have = _physical_memory()
     if need > have:
-        raise SizeGuardError(
+        raise DomainError(
             f"not enough memory for n={p.n}: gamma={p.gamma:g}, nu={p.nu:g} expect "
             f"{edges:.3g} edges per replica; sampling {workers} at once needs about "
             f"{need:.3g} bytes, more than the {have:.3g} bytes of physical memory")
@@ -326,7 +322,7 @@ def main(argv=None) -> int:
             else:
                 hio.write_json(path, {"command": cfg.command, "config": config, **output})
         return 0
-    except (DomainError, SizeGuardError) as exc:
+    except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

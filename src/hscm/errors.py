@@ -13,10 +13,6 @@ class ConvergenceError(HscmError, RuntimeError):
     """An iterative solver did not converge within its iteration budget."""
 
 
-class SizeGuardError(HscmError, ValueError):
-    """A graph was requested whose estimated sampling memory exceeds physical RAM."""
-
-
 class InsufficientTailError(HscmError, ValueError):
     """Not enough usable tail data for a tail-exponent fit."""
 
@@ -28,7 +24,3 @@ class ParseError(HscmError, ValueError):
         self.path = path
         self.line_number = line_number
         super().__init__(f"{path}:{line_number}: {message}")
-
-
-class EdgeListParseError(ParseError):
-    """An edge-list file could not be parsed."""

@@ -13,8 +13,8 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import EdgeListParseError, ParseError
-from .sampler import Graph
+from .errors import ParseError
+from .sampler import Graph, edge_keys
 
 SCHEMA_VERSION = 1
 EDGE_FORMAT_TAG = "hscm v1"
@@ -77,40 +77,39 @@ def write_edge_list(path, graph: Graph, seed: int):
             fh.write(rows[masks[digits[:, 0] * width + digits[:, 1]]].tobytes().decode("ascii"))
 
 
-def _data_lines(path, error):
+def _data_lines(path):
     """(1-based line, tokens before '#') of each line of `path` that holds a token.
 
     Lines end where np.loadtxt ends them, at '\n', '\r\n' or '\r'; the first
-    line that is not UTF-8 raises error(path, line, message)."""
+    line that is not UTF-8 raises ParseError."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():  # decode the bytes that surrogateescape kept
                 try:
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
                 except UnicodeDecodeError as exc:
-                    raise error(path, lineno, str(exc)) from None
+                    raise ParseError(path, lineno, str(exc)) from None
             tokens = line.split("#", 1)[0].split()
             if tokens:
                 yield lineno, tokens
 
 
 def _check_ids(path, n):
-    """Raise EdgeListParseError at the first line whose first two tokens are not
+    """Raise ParseError at the first line whose first two tokens are not
     node ids in [0, 2**31), or in [0, n) when n is not None.  An id is an
     optional sign and 1 to 18 ASCII digits; a longer integer is bad, not large."""
-    for lineno, tokens in _data_lines(path, EdgeListParseError):
+    for lineno, tokens in _data_lines(path):
         if len(tokens) < 2:
-            raise EdgeListParseError(path, lineno, "expected two node ids")
+            raise ParseError(path, lineno, "expected two node ids")
         for token in tokens[:2]:
             digits = token[1:] if token[0] in "+-" else token
             if not (digits.isdigit() and digits.isascii() and len(digits) <= 18):
-                raise EdgeListParseError(path, lineno, f"bad node id '{token}'")
+                raise ParseError(path, lineno, f"bad node id '{token}'")
             value = int(token)
             if not 0 <= value < 2**31:
-                raise EdgeListParseError(path, lineno, f"node id {value} outside [0, 2**31)")
+                raise ParseError(path, lineno, f"node id {value} outside [0, 2**31)")
             if n is not None and value >= n:
-                raise EdgeListParseError(path, lineno,
-                                         f"node id {value} out of range for n={n}")
+                raise ParseError(path, lineno, f"node id {value} out of range for n={n}")
 
 
 def parse_edge_list(path):
@@ -119,7 +118,7 @@ def parse_edge_list(path):
     Text after '#' and blank lines are skipped, and of the whitespace-
     separated columns the first two are node ids in [0, 2**31), or in [0, n)
     for n from a first line '# hscm v1 n=<n> ...' (None without one).  Bad
-    input raises EdgeListParseError naming the first file line at fault.
+    input raises ParseError naming the first file line at fault.
     """
     with open(path, "rb") as fh:
         header = _HEADER.match(fh.readline().strip())
@@ -129,26 +128,35 @@ def parse_edge_list(path):
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             ids = np.loadtxt(path, dtype=np.int32, comments="#", ndmin=2,
                              usecols=(0, 1), encoding="utf-8")
+        if ids.size and (ids.min() < 0 or (n is not None and ids.max() >= n)):
+            raise ValueError(f"a node id is out of range for n={n}")
     except ValueError as exc:  # UnicodeDecodeError too
         _check_ids(path, n)
-        raise EdgeListParseError(path, 0, str(exc)) from None
-    if ids.size and (ids.min() < 0 or (n is not None and ids.max() >= n)):
-        _check_ids(path, n)  # raises: the lines hold the ids loadtxt read
+        raise ParseError(path, 0, str(exc)) from None
     return ids, n
 
 
 def read_edge_list(path) -> Graph:
-    """Read an edge list written by write_edge_list (header required for n); the
-    first line that breaks Graph's form raises EdgeListParseError."""
+    """Read an edge list written by write_edge_list (header required for n).
+
+    parse_edge_list checks the ids against n; the first edge that breaks the
+    rest of Graph's form, by i >= j or by a key not above the one before,
+    raises ParseError naming its line (i >= j when a row breaks both).
+    """
     ids, n = parse_edge_list(path)
     if n is None:
-        raise EdgeListParseError(path, 0, f"missing '# {EDGE_FORMAT_TAG}' header")
-    graph = Graph(n=n, edges=ids)
-    fault = graph.first_fault()
-    if fault is not None:
-        lineno, _ = next(islice(_data_lines(path, EdgeListParseError), fault[0], None))
-        raise EdgeListParseError(path, lineno, fault[1])
-    return graph
+        raise ParseError(path, 0, f"missing '# {EDGE_FORMAT_TAG}' header")
+    keys = edge_keys(n, ids[:, 0], ids[:, 1])
+    step = keys[1:] <= keys[:-1]
+    del keys  # so the keys and the order mask are never alive together
+    faults = [(int(np.argmax(bad)) + shift, reason) for bad, shift, reason in (
+        (ids[:, 0] >= ids[:, 1], 0, "is not ordered i < j"),
+        (step, 1, "repeats or precedes the edge before it")) if bad.any()]
+    if faults:
+        row, reason = min(faults)
+        lineno, _ = next(islice(_data_lines(path), row, None))
+        raise ParseError(path, lineno, f"edge {ids[row, 0]} {ids[row, 1]} {reason}")
+    return Graph(n=n, edges=ids)
 
 
 def read_degrees(path) -> list:
@@ -156,7 +164,7 @@ def read_degrees(path) -> list:
     line grammar.  A token that is not a number, or a line that is not UTF-8,
     raises ParseError naming the file line."""
     degrees = []
-    for lineno, tokens in _data_lines(path, ParseError):
+    for lineno, tokens in _data_lines(path):
         try:
             degrees.extend(map(float, tokens))
         except ValueError as exc:

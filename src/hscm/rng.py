@@ -64,8 +64,7 @@ def hash_u64(*parts):
     """Chain-hash the parts into one uint64 per broadcast element."""
     h = np.asarray(_finalize(_as_u64(parts[0])))
     for part in parts[1:]:
-        with np.errstate(over="ignore"):
-            h = _finalize(h ^ _as_u64(part))
+        h = _finalize(h ^ _as_u64(part))
     return h
 
 

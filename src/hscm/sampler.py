@@ -57,19 +57,6 @@ class Graph:
     def average_degree(self) -> float:
         return 2.0 * self.num_edges / self.n
 
-    def first_fault(self):
-        """(row, message) of the first edge that breaks the form above, or None."""
-        e = self.edges
-        step = np.diff(edge_keys(self.n, e[:, 0], e[:, 1]), prepend=-1)
-        faults = [(int(np.argmax(bad)), reason) for bad, reason in (
-            (((e < 0) | (e >= self.n)).any(axis=1), f"has a node id out of range for n={self.n}"),
-            (e[:, 0] >= e[:, 1], "is not ordered i < j"),
-            (step <= 0, "repeats or precedes the edge before it")) if bad.any()]
-        if not faults:
-            return None
-        row, reason = min(faults)
-        return row, f"edge {e[row, 0]} {e[row, 1]} {reason}"
-
 
 def sample_coordinates(p: EnsembleParams, seed: int) -> np.ndarray:
     """n i.i.d. latent coordinates x <= r_n as a float64 array; deterministic given (p, seed)."""

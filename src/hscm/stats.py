@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EdgeListParseError, InsufficientTailError
+from .errors import DomainError, InsufficientTailError, ParseError
 from .graphon import expected_degree_fn, xlogy
 from .params import EnsembleParams, quantile_nodes
 from .io import parse_edge_list
@@ -199,7 +199,7 @@ def tail_exponent_fit(h: DegreeHistogram) -> TailFit:
     cut = np.arange(d.size - 1)  # the last present degree is never a cutoff
     if cut.size > 64:  # thin the scan, keeping the log profile
         keep = np.geomspace(d[0], d[-2], 64)
-        cut = _distinct(np.searchsorted(d[:-1], keep, side="left").clip(0, d.size - 2))
+        cut = _distinct(np.searchsorted(d[:-1], keep, side="left"))
     cut = cut[n_tail[cut] >= _MIN_TAIL_SAMPLES]
     if cut.size == 0:
         raise InsufficientTailError(
@@ -254,7 +254,7 @@ def ingest_edge_list(path) -> DegreeHistogram:
             ids -= 1
         n = int(ids.max()) + 1
     if not n:
-        raise EdgeListParseError(path, 0, "no edges found")
+        raise ParseError(path, 0, "no edges found")
     loop = ids[:, 0] == ids[:, 1]
     loops = int(np.count_nonzero(loop))
     keys = edge_keys(n, ids[:, 0], ids[:, 1])
@@ -264,7 +264,7 @@ def ingest_edge_list(path) -> DegreeHistogram:
     non_loops = keys.size
     if not (keys[1:] > keys[:-1]).all():  # strictly increasing keys have no duplicates
         keys.sort()
-        keys = keys[np.insert(keys[1:] != keys[:-1], 0, True)]
+        keys = _distinct(keys)
     degrees = Graph(n, edges_from_keys(n, keys)).degrees()
     return DegreeHistogram(counts=np.bincount(degrees), n=n, n_graphs=1,
                            edges_per_graph=np.array([keys.size], dtype=np.int64),

@@ -714,3 +714,22 @@ def test_main_is_the_only_output_writer():
                     if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
                     and node.value.value == 0]
     assert not returns_zero, f"commands that return 0: {returns_zero}"
+
+
+def test_each_exit_code_catches_one_error_class():
+    # every except clause of cli.main names at most one class of hscm.errors,
+    # so no error class exists only to be caught beside a twin
+    import hscm.cli as cli_mod
+    import hscm.errors as errors_mod
+
+    with open(cli_mod.__file__) as fh:
+        tree = ast.parse(fh.read())
+    main_def = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+    ours = {name for name, value in vars(errors_mod).items()
+            if isinstance(value, type) and issubclass(value, errors_mod.HscmError)}
+    handlers = [node for node in ast.walk(main_def) if isinstance(node, ast.ExceptHandler)]
+    assert handlers
+    for handler in handlers:
+        names = [node.id for node in ast.walk(handler.type) if isinstance(node, ast.Name)]
+        assert len(ours.intersection(names)) <= 1, f"line {handler.lineno} catches {names}"

@@ -8,7 +8,7 @@ import pytest
 from oracles import naive_replica
 from hscm import io as hio
 from hscm.cli import main
-from hscm.errors import EdgeListParseError
+from hscm.errors import ParseError
 from hscm.io import parse_edge_list, read_edge_list, write_edge_list
 from hscm.params import derive_params
 from hscm.sampler import Graph, edge_keys, edges_from_keys
@@ -135,7 +135,7 @@ BAD_LINES = [
 def test_ingest_error_names_physical_line(tmp_path, bad, message):
     path = tmp_path / "bad.txt"
     path.write_text(PREAMBLE + bad + "1 2\n")
-    with pytest.raises(EdgeListParseError) as err:
+    with pytest.raises(ParseError) as err:
         ingest_edge_list(str(path))
     assert err.value.line_number == 6
     assert f"{path}:6: {message}" in str(err.value)
@@ -145,7 +145,7 @@ def test_ingest_error_names_physical_line(tmp_path, bad, message):
 def test_read_error_names_physical_line(tmp_path, bad, message):
     path = tmp_path / "bad.edges"
     path.write_text("# hscm v1 n=5 seed=1\n" + PREAMBLE + bad)
-    with pytest.raises(EdgeListParseError) as err:
+    with pytest.raises(ParseError) as err:
         read_edge_list(str(path))
     assert err.value.line_number == 7
     assert message in str(err.value)
@@ -160,7 +160,7 @@ def test_bad_line_found_without_loadtxt_wording(tmp_path, monkeypatch):
     path = tmp_path / "bad.txt"
     path.write_text(PREAMBLE + "0 nope\n1 2\n")
     monkeypatch.setattr(hio.np, "loadtxt", unrecognised)
-    with pytest.raises(EdgeListParseError) as err:
+    with pytest.raises(ParseError) as err:
         ingest_edge_list(str(path))
     assert f"{path}:6: bad node id 'nope'" in str(err.value)
 
@@ -168,7 +168,7 @@ def test_bad_line_found_without_loadtxt_wording(tmp_path, monkeypatch):
 def test_non_utf8_is_a_parse_error(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"0 1\n\n1 \xff\n")
-    with pytest.raises(EdgeListParseError, match="utf-8"):
+    with pytest.raises(ParseError, match="utf-8"):
         ingest_edge_list(str(path))
 
 
@@ -176,7 +176,7 @@ def test_non_utf8_is_a_parse_error(tmp_path):
 def test_non_utf8_names_its_line(tmp_path, reader):
     path = tmp_path / "bad.edges"
     path.write_bytes(b"0 1\n1 \xff\n")
-    with pytest.raises(EdgeListParseError, match="utf-8") as err:
+    with pytest.raises(ParseError, match="utf-8") as err:
         reader(str(path))
     assert err.value.line_number == 2
 
@@ -185,14 +185,18 @@ ORDER_FAULTS = [
     ("3 1\n", "edge 3 1 is not ordered i < j"),  # reversed pair
     ("0 1\n", "edge 0 1 repeats or precedes"),  # unsorted
     ("0 2\n", "edge 0 2 repeats or precedes"),  # duplicate line
+    ("2 2\n", "edge 2 2 is not ordered i < j"),  # self-loop
+    # the earlier of two faults of different kinds (line 6 is reversed)
+    ("0 1\n4 3\n", "edge 0 1 repeats or precedes"),
 ]
 
 
-@pytest.mark.parametrize("bad,message", ORDER_FAULTS, ids=["reversed", "unsorted", "duplicate"])
+@pytest.mark.parametrize("bad,message", ORDER_FAULTS,
+                         ids=["reversed", "unsorted", "duplicate", "self-loop", "earlier-fault"])
 def test_order_fault_names_its_line(tmp_path, bad, message):
     path = tmp_path / "g.edges"
     path.write_text("# hscm v1 n=5 seed=1\n0 2\n\n# c\n" + bad + "3 4\n")
-    with pytest.raises(EdgeListParseError) as err:
+    with pytest.raises(ParseError) as err:
         read_edge_list(str(path))
     assert err.value.line_number == 5
     assert f"{path}:5: {message}" in str(err.value)
@@ -201,7 +205,7 @@ def test_order_fault_names_its_line(tmp_path, bad, message):
 def test_out_of_range_id_in_edges_file(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("# hscm v1 n=3 seed=1\n0 1\n# c\n1 3\n")
-    with pytest.raises(EdgeListParseError) as err:
+    with pytest.raises(ParseError) as err:
         read_edge_list(str(path))
     assert err.value.line_number == 4
     assert "out of range for n=3" in str(err.value)
@@ -265,7 +269,7 @@ def test_ingest_takes_n_and_indexing_from_the_header(tmp_path):
 def test_ingest_rejects_ids_beyond_header_n(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("# hscm v1 n=3 seed=1\n0 1\n# c\n1 3\n")
-    with pytest.raises(EdgeListParseError) as err:
+    with pytest.raises(ParseError) as err:
         ingest_edge_list(str(path))
     assert err.value.line_number == 4
     assert f"{path}:4: node id 3 out of range for n=3" in str(err.value)

@@ -9,6 +9,7 @@ from oracles import naive_replica, omega_n, prefix, sample_graph_naive, skip_row
 from hscm import rng, sampler
 from hscm.errors import DomainError
 from hscm.graphon import expected_degree_fn, w_fermi_dirac
+from hscm.io import read_edge_list, write_edge_list
 from hscm.params import derive_params
 from hscm.sampler import (
     Graph,
@@ -23,19 +24,6 @@ from hscm.stats import degree_histogram
 
 
 class TestGraphType:
-    def test_validate_catches_malformed(self):
-        assert Graph(n=3, edges=np.array([[0, 1], [0, 2]])).first_fault() is None
-        assert Graph(n=2, edges=np.array([[0, 2]])).first_fault() == (
-            0, "edge 0 2 has a node id out of range for n=2")
-        assert Graph(n=3, edges=np.array([[1, 1]])).first_fault() == (
-            0, "edge 1 1 is not ordered i < j")
-        assert Graph(n=3, edges=np.array([[0, 2], [0, 1]])).first_fault() == (
-            1, "edge 0 1 repeats or precedes the edge before it")
-        assert Graph(n=3, edges=np.array([[0, 1], [0, 1]])).first_fault() == (
-            1, "edge 0 1 repeats or precedes the edge before it")
-        # the earliest fault wins over a later one of another kind
-        assert Graph(n=4, edges=np.array([[1, 2], [0, 3], [3, 2]])).first_fault()[0] == 1
-
     def test_degrees_and_prefix(self):
         g = Graph(n=4, edges=np.array([[0, 1], [0, 3], [2, 3]]))
         assert list(g.degrees()) == [2, 1, 1, 2]
@@ -101,13 +89,15 @@ class TestNaiveSampler:
 
 
 class TestFastSampler:
-    def test_deterministic_and_valid(self):
+    def test_deterministic_and_valid(self, tmp_path):
         p = derive_params(2.0, 10.0, 3000)
         c = sample_coordinates(p, 3)
         g1 = sample_graph_fast(c, 9)
         g2 = sample_graph_fast(c, 9)
         assert np.array_equal(g1.edges, g2.edges)
-        assert g1.first_fault() is None
+        # read_edge_list checks Graph's form
+        write_edge_list(str(tmp_path / "g.edges"), g1, seed=9)
+        assert np.array_equal(read_edge_list(str(tmp_path / "g.edges")).edges, g1.edges)
 
     def test_tied_coordinates_are_golden(self):
         # four nodes at each coordinate: a row's draws follow its rank, so tied
@@ -438,10 +428,12 @@ class TestGrowingSampler:
 
     @pytest.mark.parametrize("gamma", [2.0])
     @pytest.mark.parametrize("n", [1, 2])
-    def test_tiny_chain_is_valid(self, gamma, n):
+    def test_tiny_chain_is_valid(self, tmp_path, gamma, n):
         g, x = sample_graph_growing(derive_params(gamma, 5.0, n), 11)
         assert x.shape == (n,) and g.n == n
-        assert g.first_fault() is None
+        # read_edge_list checks Graph's form
+        write_edge_list(str(tmp_path / "g.edges"), g, seed=11)
+        assert np.array_equal(read_edge_list(str(tmp_path / "g.edges")).edges, g.edges)
 
     # the chain restricts to the size-n ensemble for every n only at gamma = 2
     @pytest.mark.parametrize("gamma", [1.4, 3.0])

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import zeta
 
 from oracles import mixing, tail_exponent_fit_loop, truncation_k
-from hscm.errors import DomainError, EdgeListParseError, InsufficientTailError
+from hscm.errors import DomainError, ParseError, InsufficientTailError
 from hscm import stats
 from hscm.params import derive_params
 from hscm.sampler import Graph, sample_replica
@@ -344,7 +344,7 @@ class TestIngest:
     def test_parse_error_reports_line(self, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("0 1\nnope\n")
-        with pytest.raises(EdgeListParseError) as err:
+        with pytest.raises(ParseError) as err:
             ingest_edge_list(str(f))
         assert err.value.line_number == 2
 
